@@ -1,28 +1,21 @@
 """Carlitz factorials and binomial coefficients over A = F_q[T].
 
-The building blocks are the polynomials
-
-    D_0 = 1,   D_i = prod_{r=0}^{i-1} (T^(q^i) - T^(q^r)),   deg D_i = i*q^i.
-
-For n with base-q digits n = sum n_i q^i the Carlitz factorial is
-n!_C = prod D_i^(n_i), and the binomial coefficient is
+With D_0 = 1 and D_i = prod_{r<i} (T^(q^i) - T^(q^r)) of degree i*q^i, the
+Carlitz factorial of n = sum n_i q^i (base q) is n!_C = prod D_i^(n_i), and
 
     binom(n, m)_C = n!_C / (m!_C * (n-m)!_C)   for m <= n, else 0,
 
-which is always itself an element of A.  binom_exact computes it by honest
-polynomial division (and treats a nonzero remainder as an internal error);
-factorial degrees grow fast, so the exact routines take a degree guardrail.
+is again an element of A.  binom_exact computes it by honest polynomial
+division (a nonzero remainder is an internal error); factorial degrees grow
+fast, so the exact routines take a degree guardrail.
 
-Modulo a prime p of degree h the binomial reduces digit by digit: writing
-n and m in base q^h as (a_0, a_1, ...) and (b_0, b_1, ...),
-
-    binom(n, m)_C  =  prod_i binom(a_i, b_i)_C   (mod p),
-
-zero as soon as some b_i > a_i.  Each single-digit factor binom(a, b)_C with
-b <= a < q^h is the unit prod_i (D_i mod p)^(e_i), where e_i = a_i - b_i - g_i
-over the base-q digits of a, b and g = a - b (the exponents can be negative;
-all D_i with i < h are units mod p).  DigitBinomCache holds the D_i mod p,
-their inverses, and a memo of the q^h x q^h single-digit table when small.
+With [k] = T^(q^k) - T, so that D_i = [i] * D_{i-1}^q, the binomial is also
+the product of [k] over the positions k that receive a carry when m and
+n - m are added in base q (Kummer's theorem for F_q[T]; Thakur, Function
+Field Arithmetic, 2004).  Modulo a prime p of degree h, [k] = [k mod h] and
+[0] = 0: the binomial vanishes once a carry lands on a multiple of h, and
+is otherwise a product of the units [1] .. [h-1] mod p.  DigitBinomCache
+holds those, and the D_i mod p for i < h.
 """
 
 from __future__ import annotations
@@ -30,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .gf import Field
-from .limits import DEFAULT_EXACT_DEGREE_LIMIT, MEMO_LIMIT, GuardrailError
+from .limits import DEFAULT_EXACT_DEGREE_LIMIT, GuardrailError
 from .polyring import Poly
 from .residue import Residue, ResidueCtx
 
@@ -104,77 +97,57 @@ def binom_exact(n: int, m: int, field: Field,
     return quot
 
 
-class DigitBinomCache:
-    """Per-context tables for binomial coefficients mod the prime."""
+def _carries(a: int, b: int, q: int):
+    """Positions k >= 1 that receive a carry when a and b are added in base q."""
+    k = carry = 0
+    while a or b:
+        k += 1
+        carry = a % q + b % q + carry >= q
+        if carry:
+            yield k
+        a //= q
+        b //= q
 
-    def __init__(self, ctx: ResidueCtx, memoize: bool | None = None):
+
+class DigitBinomCache:
+    """Per-context residues: the brackets [k] and the D_i, mod the prime."""
+
+    def __init__(self, ctx: ResidueCtx):
         self.ctx = ctx
-        h = ctx.h
         q = ctx.q
-        # Frobenius powers t_k = T^(q^k) mod prime, k = 0 .. h-1.
-        t = [ctx.reduce(Poly.gen(ctx.field))]
-        for _ in range(h - 1):
-            t.append(t[-1] ** q)
+        # brackets[k] = [k] = T^(q^k) - T mod prime for k < h; [0] = 0.
+        t = tk = ctx.reduce(Poly.gen(ctx.field))
+        brackets = [ctx.zero]
         d_mod = [ctx.one]
-        for i in range(1, h):
-            cur = ctx.one
-            for r in range(i):
-                cur = cur * (t[i] - t[r])
-            if not cur:
-                raise ArithmeticError(f"D_{i} vanished mod {ctx.prime}")  # impossible for i < h
-            d_mod.append(cur)
+        for _ in range(1, ctx.h):
+            tk = tk ** q
+            brackets.append(tk - t)
+            d_mod.append(brackets[-1] * d_mod[-1] ** q)
+        self.brackets = tuple(brackets)
         self.d_mod = tuple(d_mod)
-        self.d_inv = tuple(d.inverse() for d in d_mod)
-        if memoize is None:
-            memoize = ctx.base * ctx.base <= MEMO_LIMIT
-        # Insert-only memo of the single-digit table; safe to share.
-        self._memo: dict | None = {} if memoize else None
 
     def digit_binom(self, a: int, b: int) -> Residue:
         """binom(a, b)_C mod the prime for single base-q^h digits a, b."""
         ctx = self.ctx
         if not 0 <= a < ctx.base or not 0 <= b < ctx.base:
             raise ValueError(f"digits must lie in [0, {ctx.base})")
-        if b > a:
-            return ctx.zero
-        memo = self._memo
-        if memo is not None:
-            hit = memo.get((a, b))
-            if hit is not None:
-                return hit
-        q = ctx.q
-        aa, bb, gg = a, b, a - b
-        result = ctx.one
-        i = 0
-        while aa:
-            e = aa % q - bb % q - gg % q
-            if e:
-                result = result * (self.d_mod[i] ** e if e > 0 else self.d_inv[i] ** (-e))
-            aa //= q
-            bb //= q
-            gg //= q
-            i += 1
-        if memo is not None:
-            memo[(a, b)] = result
-        return result
+        return self.binom(a, b)
 
     def binom(self, n: int, m: int) -> Residue:
-        """binom(n, m)_C mod the prime, via the digitwise product."""
+        """binom(n, m)_C mod the prime: the product of [k mod h] over the
+        carries of m + (n - m), zero once a carry lands on a multiple of h."""
         if n < 0 or m < 0:
             raise ValueError("binomial indices must be nonnegative")
         ctx = self.ctx
         if m > n:
             return ctx.zero
-        base = ctx.base
+        h = ctx.h
         result = ctx.one
-        while n or m:
-            a = n % base
-            b = m % base
-            if b > a:
+        for k in _carries(m, n - m, ctx.q):
+            k %= h
+            if not k:
                 return ctx.zero
-            result = result * self.digit_binom(a, b)
-            n //= base
-            m //= base
+            result = result * self.brackets[k]
         return result
 
     def factorial(self, n: int) -> Residue:
@@ -185,16 +158,10 @@ class DigitBinomCache:
         if n < 0:
             raise ValueError("factorial needs n >= 0")
         ctx = self.ctx
-        q = ctx.q
-        h = ctx.h
         result = ctx.one
-        i = 0
-        while n:
-            ni = n % q
+        for i, ni in enumerate(_base_digits(n, ctx.q)):
             if ni:
-                if i >= h:
+                if i >= ctx.h:
                     return ctx.zero
                 result = result * self.d_mod[i] ** ni
-            n //= q
-            i += 1
         return result

@@ -8,19 +8,18 @@
     carlitz irreducible -- test a polynomial, or find one by degree
 
 Exit codes: 0 success, 1 check mismatch, 2 bad usage or validation,
-3 guardrail exceeded.  Set CARLITZ_CACHE_DIR (or pass --cache) to persist
-single-digit base tables between runs.
+3 guardrail exceeded.  Integers of any length are accepted and printed:
+Python's int-string digit limit is lifted while main runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .binom import DigitBinomCache, binom_exact, factorial_exact
-from .dist import BaseTable, CountPoly, distribution, gn_fast, to_json_dict
+from .dist import BaseTable, distribution, gn_fast, to_json_dict
 from .gf import Field
 from .limits import (
     DEFAULT_ENUM_LIMIT,
@@ -34,9 +33,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_GUARDRAIL = 3
-
-CACHE_FILENAME = "base_tables.json"
-
 
 def _add_field_args(sp):
     sp.add_argument("-p", type=int, required=True, help="field characteristic (prime)")
@@ -65,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("-n", required=True, metavar="N", help="upper index n (decimal, any size)")
     d.add_argument("--method", choices=("fast", "brute"), default="fast")
     d.add_argument("--output", choices=("json", "table", "csv"), default="json")
-    d.add_argument("--cache", metavar="DIR", help="directory for the base-table cache")
     d.add_argument("--enum-limit", type=int, default=DEFAULT_ENUM_LIMIT,
                    help="largest n the brute method will scan")
 
@@ -73,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(c)
     _add_prime_args(c)
     c.add_argument("--max-n", type=int, default=200, help="check all n <= this (default 200)")
-    c.add_argument("--cache", metavar="DIR", help="directory for the base-table cache")
     c.add_argument("--enum-limit", type=int, default=DEFAULT_ENUM_LIMIT)
 
     b = sub.add_parser("binom", help="one Carlitz binomial coefficient")
@@ -135,86 +129,11 @@ def _parse_n(text) -> int:
     try:
         n = int(text, 10)
     except ValueError:
-        raise ValueError(f"expected a decimal integer, got {text!r}") from None
+        shown = text if len(text) <= 20 else text[:20] + "..."
+        raise ValueError(f"expected a decimal integer, got {shown!r}") from None
     if n < 0:
         raise ValueError("n must be nonnegative")
     return n
-
-
-# -- base-table cache ---------------------------------------------------------
-
-
-def _cache_file(args):
-    if getattr(args, "cache", None):
-        return os.path.join(args.cache, CACHE_FILENAME)
-    env = os.environ.get("CARLITZ_CACHE_DIR")
-    if env:
-        return os.path.join(env, CACHE_FILENAME)
-    return None
-
-
-def _cache_key(ctx: ResidueCtx) -> str:
-    f = ctx.field
-    return (
-        f"p={f.p};s={f.s};modulus={f.modulus_str() or ''};"
-        f"prime={ctx.prime};root={ctx.primitive_root}"
-    )
-
-
-def _load_cached_gpolys(path, ctx):
-    """Validated single-digit polynomials from the cache file, else {}."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        entries = data[_cache_key(ctx)]
-    except (OSError, ValueError, KeyError):
-        return {}
-    out = {}
-    order = ctx.group_order
-    if not isinstance(entries, dict):
-        return {}
-    for key, coeffs in entries.items():
-        try:
-            d = int(key)
-            cs = [int(c) for c in coeffs]
-        except (TypeError, ValueError):
-            continue
-        # Never trust cache contents blindly: shape and total mass must fit.
-        if 0 <= d < ctx.base and len(cs) == order and all(c >= 0 for c in cs) \
-                and sum(cs) == d + 1:
-            out[d] = CountPoly(cs)
-    return out
-
-
-def _save_gpolys(path, ctx, table: BaseTable):
-    computed = {str(d): list(g.coeffs) for d, g in table.computed().items()}
-    if not computed:
-        return
-    data = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            data = {}
-    except (OSError, ValueError):
-        data = {}
-    key = _cache_key(ctx)
-    merged = data.get(key)
-    if not isinstance(merged, dict):
-        merged = {}
-    merged.update(computed)
-    data[key] = merged
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True)
-    os.replace(tmp, path)
-
-
-def _make_table(args, ctx, cache) -> tuple[BaseTable, str | None]:
-    path = _cache_file(args)
-    gpolys = _load_cached_gpolys(path, ctx) if path else None
-    return BaseTable(ctx, cache, gpolys=gpolys), path
 
 
 # -- output -------------------------------------------------------------------
@@ -249,13 +168,9 @@ def _cmd_dist(args, out):
     field = _field_from_args(args)
     ctx = _ctx_from_args(args, field)
     n = _parse_n(args.n)
-    cache = DigitBinomCache(ctx)
-    table, path = _make_table(args, ctx, cache)
-    dist = distribution(n, ctx, cache, method=args.method, table=table,
+    dist = distribution(n, ctx, DigitBinomCache(ctx), method=args.method,
                         limit=args.enum_limit)
     _print_dist(dist, args.output, out)
-    if path:
-        _save_gpolys(path, ctx, table)
     return EXIT_OK
 
 
@@ -265,7 +180,7 @@ def _cmd_check(args, out):
     if args.max_n < 0:
         raise ValueError("--max-n must be nonnegative")
     cache = DigitBinomCache(ctx)
-    table, path = _make_table(args, ctx, cache)
+    table = BaseTable(ctx, cache)
     for n in range(args.max_n + 1):
         fast = gn_fast(n, ctx, cache, table)
         brute = distribution(n, ctx, cache, method="brute", table=table,
@@ -275,8 +190,6 @@ def _cmd_check(args, out):
             print(f"  fast : {fast}", file=out)
             print(f"  brute: {brute.counts}", file=out)
             return EXIT_MISMATCH
-    if path:
-        _save_gpolys(path, ctx, table)
     print(f"OK {args.max_n + 1} cases", file=out)
     return EXIT_OK
 
@@ -339,6 +252,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    # n has no size bound, so lift the int <-> str digit limit (Python >=
+    # 3.10.7), but only for this call: main also runs inside other programs.
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        digit_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args, sys.stdout)
     except GuardrailError as e:
@@ -347,6 +266,9 @@ def main(argv=None) -> int:
     except (ParseError, ValueError, ArithmeticError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -1,22 +1,18 @@
 """Counting Carlitz binomial coefficients by residue class.
 
-For a prime p of degree h, primitive root g, and L = q^h - 1, let
-eps_j(n) count the m in [0, n] with binom(n, m)_C = g^j mod p.  The
-generating polynomial
+For a prime p of degree h, primitive root g, and L = q^h - 1, let eps_j(n)
+count the m in [0, n] with binom(n, m)_C = g^j mod p.  If c_d(n) counts the
+digit d in the base-q^h expansion of n (c_0(0) = 1), then
 
-    G_n(x) = sum_j eps_j(n) x^j   in  Z[x] / (x^L - 1)
+    G_n(x) = sum_j eps_j(n) x^j = prod_d G_d(x)^(c_d(n))   in Z[x]/(x^L - 1).
 
-multiplies over base-q^h digits: if c_d(n) counts how often digit d occurs
-in the base-q^h expansion of n (with c_0(0) = 1 for n = 0), then
-
-    G_n(x) = prod_{d < q^h} G_d(x)^(c_d(n))   mod (x^L - 1).
-
-The single-digit polynomials G_d are tiny brute-force scans, so G_n for
-astronomically large n costs only a handful of cyclic multiplications.
-gn_fast implements that product; distribution_brute is the independent
-linear check that classifies every single m in [0, n]; distribution wraps
-both behind a method switch.  Multiplying in Z[x]/(x^L - 1) is a naive
-cyclic convolution with exact bigint coefficients throughout.
+G_d is the histogram of the row of logs of binom(d, m)_C, m <= d; each log
+is a sum of the logs of [1] .. [h-1] over the base-q carries of m + (d - m)
+(see binom.py).  Only the distinct digits of n are built, so G_n for huge n
+costs a handful of cyclic multiplications (naive convolution with exact
+bigint coefficients).  gn_fast implements that product; distribution_brute
+classifies every m in [0, n] by its own digits from the same rows, so it
+checks the product; distribution wraps both behind a method switch.
 
 Binomials that are = 0 mod p belong to no class; their count is
 n + 1 - G_n(1) and is reported separately.
@@ -24,9 +20,10 @@ n + 1 - G_n(1) and is reported separately.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
-from .binom import DigitBinomCache
+from .binom import DigitBinomCache, _carries
 from .limits import DEFAULT_ENUM_LIMIT, GuardrailError
 from .polyring import parse_poly, parse_upoly
 from .residue import ResidueCtx
@@ -94,8 +91,9 @@ class CountPoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def eval_one(self) -> int:
@@ -131,44 +129,41 @@ def digit_counts(n: int, ctx: ResidueCtx) -> list[int]:
 class BaseTable:
     """Lazy per-digit data: class rows and single-digit polynomials G_d."""
 
-    def __init__(self, ctx: ResidueCtx, cache: DigitBinomCache, gpolys=None):
+    def __init__(self, ctx: ResidueCtx, cache: DigitBinomCache):
         if cache.ctx is not ctx and cache.ctx.key != ctx.key:
             raise ValueError("cache belongs to a different ring")
         self.ctx = ctx
-        self.cache = cache
+        # logs[k] = dlog [k] for 0 < k < h; single digits never carry into h.
+        self._logs = (0,) + tuple(ctx.dlog(b) for b in cache.brackets[1:])
         self._rows: dict[int, tuple] = {}
-        self._gpolys: dict[int, CountPoly] = dict(gpolys) if gpolys else {}
+        self._gpolys: dict[int, CountPoly] = {}
 
     def row(self, d: int) -> tuple:
         """Discrete logs of binom(d, m)_C mod p for m = 0 .. d.
 
         Single-digit binomials with m <= d are always units, so every entry
-        is a genuine exponent.
+        is a genuine exponent: the sum of the logs of [k] over the carries
+        of m + (d - m).
         """
         hit = self._rows.get(d)
         if hit is None:
-            ctx = self.ctx
-            cache = self.cache
-            hit = tuple(ctx.dlog(cache.digit_binom(d, m)) for m in range(d + 1))
-            self._rows[d] = hit
+            q = self.ctx.q
+            order = self.ctx.group_order
+            logs = self._logs
+            hit = self._rows[d] = tuple(sum(logs[k] for k in _carries(m, d - m, q)) % order
+                                        for m in range(d + 1))
         return hit
 
     def gpoly(self, d: int) -> CountPoly:
         """The single-digit polynomial G_d(x)."""
         hit = self._gpolys.get(d)
         if hit is None:
-            counts = [0] * self.ctx.group_order
-            for e in self.row(d):
-                counts[e] += 1
-            hit = CountPoly(counts)
-            self._gpolys[d] = hit
+            hit = self._gpolys[d] = CountPoly.from_terms(Counter(self.row(d)),
+                                                         self.ctx.group_order)
         return hit
 
     def all(self) -> list[CountPoly]:
         return [self.gpoly(d) for d in range(self.ctx.base)]
-
-    def computed(self) -> dict[int, CountPoly]:
-        return dict(self._gpolys)
 
 
 def base_table(ctx: ResidueCtx, cache: DigitBinomCache) -> list[CountPoly]:

@@ -19,9 +19,6 @@ DEFAULT_CLASS_ENUM_LIMIT = 10**6
 # larger groups fall back to baby-step/giant-step.
 DLOG_TABLE_LIMIT = 2**20
 
-# Digit-binomial memoization is enabled while q^(2h) stays at or below this.
-MEMO_LIMIT = 2**22
-
 
 class GuardrailError(Exception):
     """A requested computation exceeds its configured work bound."""

@@ -102,8 +102,9 @@ class Residue:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def inverse(self):
@@ -144,13 +145,11 @@ class ResidueCtx:
         self.key = (self.field, prime.coeffs)
 
         # T^k mod prime for k = h .. 2h-2 (enough to fold any product of reps).
-        rows = []
-        cur = tuple(self.field.neg(c) for c in prime.coeffs[:-1])
-        rows.append(cur)
-        for _ in range(self.h - 2):
-            cur = self._shift_mod(cur)
-            rows.append(cur)
+        # _shift_mod folds with rows[0], so the list is in place before it runs.
+        rows = [tuple(self.field.neg(c) for c in prime.coeffs[:-1])]
         self._fold_rows = rows
+        for _ in range(self.h - 2):
+            rows.append(self._shift_mod(rows[-1]))
         self._red_rows = None  # lazily extended T^k rows for reduce()
         self._red_matrix = None
 

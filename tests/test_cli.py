@@ -1,10 +1,10 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
+from carlitz import BaseTable, CountPoly, DigitBinomCache, distribution, to_json_dict
 from carlitz.cli import main
 
 GOLDEN_1811 = {
@@ -26,11 +26,6 @@ GOLDEN_1811 = {
 }
 
 BASE = ["dist", "-p", "3", "--prime", "T^2+1", "--primitive-root", "T+1"]
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_cache(monkeypatch):
-    monkeypatch.delenv("CARLITZ_CACHE_DIR", raising=False)
 
 
 def run(argv, capsys):
@@ -118,6 +113,19 @@ def test_dist_prime_degree(capsys):
     assert json.loads(out) == GOLDEN_1811
 
 
+def test_dist_prime_degree_8_over_f2(capsys):
+    # The canonical degree-8 prime is not of the form T^h + aT + b.
+    argv = ["dist", "-p", "2", "--prime-degree", "8", "-n", "100"]
+    code, fast, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    code, brute, _ = run(argv + ["--method", "brute"], capsys)
+    assert code == 0
+    fast, brute = json.loads(fast), json.loads(brute)
+    assert fast["prime"] == "T^8+T^4+T^3+T+1"
+    assert fast["counts"] == brute["counts"]
+    assert fast["zero_count"] == brute["zero_count"]
+
+
 def test_dist_extension_field(capsys):
     code, out, _ = run(
         ["dist", "-p", "2", "-s", "2", "--prime", "T+u", "-n", "20"], capsys
@@ -166,6 +174,26 @@ def test_exit_usage_bad_n(capsys):
     assert run(BASE + ["-n", "abc"], capsys)[0] == 2
     assert run(BASE + ["-n", "-5"], capsys)[0] == 2
     assert run(BASE + ["-n", "0x10"], capsys)[0] == 2
+    # A long bad argument is quoted by a short prefix only.
+    code, _, err = run(BASE + ["-n", "7x" * 2500], capsys)
+    assert code == 2
+    assert err.startswith("error: expected a decimal integer")
+    assert len(err.rstrip("\n")) < 100
+
+
+def test_dist_n_beyond_int_str_digit_limit(capsys, ctx9):
+    # 4,301 digits is past Python's default int <-> str limit; main lifts it
+    # for its own run only and puts it back afterwards.
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(BASE + ["-n", "1" * 4301], capsys)
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    expected = distribution((10**4301 - 1) // 9, ctx9, DigitBinomCache(ctx9))
+    sys.set_int_max_str_digits(0)
+    try:
+        assert json.loads(out) == to_json_dict(expected)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_exit_usage_prime_spec(capsys):
@@ -216,85 +244,27 @@ def test_argparse_usage_exit():
     assert e.value.code == 2
 
 
-# -- the base-table cache --------------------------------------------------------
+# -- check -----------------------------------------------------------------------
 
 
-def test_cache_cold_and_warm(tmp_path, capsys):
-    args = BASE + ["-n", "1811", "--cache", str(tmp_path)]
-    code, cold, _ = run(args, capsys)
-    assert code == 0
-    path = tmp_path / "base_tables.json"
-    assert path.exists()
-    saved = json.loads(path.read_text())
-    key = "p=3;s=1;modulus=;prime=T^2+1;root=T+1"
-    assert key in saved
-    assert saved[key]["3"] == [2, 0, 0, 0, 0, 0, 2, 0]
-    code, warm, _ = run(args, capsys)
-    assert code == 0
-    assert warm == cold
+def test_check_mismatch_exits_1(capsys, monkeypatch):
+    # A wrong G_3 reaches the fast product only; check's brute scan reads the
+    # digit rows directly, so it flags the first n that uses the digit 3.
+    good = BaseTable.gpoly
 
+    def bad_gpoly(self, d):
+        return CountPoly.from_terms({0: 2, 2: 2}, 8) if d == 3 else good(self, d)
 
-def test_cache_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CARLITZ_CACHE_DIR", str(tmp_path))
-    code, out, _ = run(BASE + ["-n", "1811"], capsys)
-    assert code == 0
-    assert json.loads(out) == GOLDEN_1811
-    assert (tmp_path / "base_tables.json").exists()
-
-
-def test_cache_corrupt_file_is_ignored(tmp_path, capsys):
-    path = tmp_path / "base_tables.json"
-    path.write_text("{ not json at all")
-    code, out, _ = run(BASE + ["-n", "1811", "--cache", str(tmp_path)], capsys)
-    assert code == 0
-    assert json.loads(out) == GOLDEN_1811
-    assert json.loads(path.read_text())  # rebuilt cleanly
-
-
-def test_cache_invalid_entries_are_ignored(tmp_path, capsys):
-    key = "p=3;s=1;modulus=;prime=T^2+1;root=T+1"
-    # Wrong length, negative counts, bad mass, junk keys: all skipped.
-    path = tmp_path / "base_tables.json"
-    path.write_text(json.dumps({key: {
-        "2": [3, 0, 0, 0],
-        "3": [4, 0, 0, 0, 0, 0, -2, 0],
-        "4": [9, 0, 0, 0, 0, 0, 0, 0],
-        "x": [1, 0, 0, 0, 0, 0, 0, 0],
-    }}))
-    code, out, _ = run(BASE + ["-n", "1811", "--cache", str(tmp_path)], capsys)
-    assert code == 0
-    assert json.loads(out) == GOLDEN_1811
-
-
-def test_cache_poisoned_entry_caught_by_check(tmp_path, capsys):
-    # A wrong table entry with plausible shape passes the cheap validation,
-    # but check recomputes every class from scratch and flags it.
-    key = "p=3;s=1;modulus=;prime=T^2+1;root=T+1"
-    path = tmp_path / "base_tables.json"
-    path.write_text(json.dumps({key: {"3": [2, 0, 2, 0, 0, 0, 0, 0]}}))
+    monkeypatch.setattr(BaseTable, "gpoly", bad_gpoly)
     code, out, _ = run(
         ["check", "-p", "3", "--prime", "T^2+1", "--primitive-root", "T+1",
-         "--max-n", "10", "--cache", str(tmp_path)],
+         "--max-n", "10"],
         capsys,
     )
     assert code == 1
     assert "MISMATCH at n = 3" in out
     assert "fast : 2 + 2x^2" in out
     assert "brute: 2 + 2x^6" in out
-
-
-def test_cache_two_rings_coexist(tmp_path, capsys):
-    run(BASE + ["-n", "100", "--cache", str(tmp_path)], capsys)
-    code, out, _ = run(
-        ["dist", "-p", "2", "--prime", "T^3+T+1", "-n", "100", "--cache", str(tmp_path)],
-        capsys,
-    )
-    assert code == 0
-    saved = json.loads((tmp_path / "base_tables.json").read_text())
-    assert len(saved) == 2
-    # And the first ring still round-trips.
-    code, out, _ = run(BASE + ["-n", "1811", "--cache", str(tmp_path)], capsys)
-    assert json.loads(out) == GOLDEN_1811
 
 
 # -- the small arithmetic commands -----------------------------------------------
@@ -350,11 +320,9 @@ def test_irreducible_command(capsys):
 
 
 def test_installed_entry_point(tmp_path):
-    env = dict(os.environ)
-    env.pop("CARLITZ_CACHE_DIR", None)
     proc = subprocess.run(
         [sys.executable, "-m", "carlitz.cli"] + BASE + ["-n", "1811"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == GOLDEN_1811

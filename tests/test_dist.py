@@ -9,6 +9,7 @@ from carlitz import (
     DigitBinomCache,
     Distribution,
     GuardrailError,
+    Poly,
     ResidueCtx,
     base_table,
     binom_exact,
@@ -17,6 +18,7 @@ from carlitz import (
     distribution_brute,
     from_json_dict,
     gn_fast,
+    is_irreducible,
     parse_poly,
     to_json_dict,
 )
@@ -151,13 +153,10 @@ def test_base_table_symmetry(table9):
 
 def test_base_table_laziness_and_presets(ctx9, cache9):
     t = BaseTable(ctx9, cache9)
-    assert t.computed() == {}
-    t.gpoly(3)
-    assert set(t.computed()) == {3}
-    preset = CountPoly.from_terms({5: 3}, 8)
-    t2 = BaseTable(ctx9, cache9, gpolys={2: preset})
-    assert t2.gpoly(2) is preset  # presets are trusted as-is here
-    assert t2.gpoly(0) == CountPoly.one(8)
+    g = t.gpoly(3)
+    assert t.gpoly(3) is g  # built once, then kept
+    assert t.row(3) is t.row(3)
+    assert t.gpoly(0) == CountPoly.one(8)
 
 
 def test_base_table_ring_mismatch(ctx9, f3):
@@ -282,6 +281,49 @@ def test_primitive_root_invariance(ctx9, cache9, f3):
         by_label2 = {d2.residue_label(j): c for j, c in d2.nonzero_items()}
         assert by_label1 == by_label2, n
         assert d1.zero_count == d2.zero_count
+
+
+def _monic_irreducibles(field, degree):
+    q = field.q
+    for e in range(q**degree):
+        coeffs = [(e // q**i) % q for i in range(degree)] + [1]
+        prime = Poly(field, coeffs)
+        if is_irreducible(prime):
+            yield prime
+
+
+def test_every_small_prime(f2, f3, f4):
+    # Every monic irreducible of degree <= 4 over F_2 and F_3 and of degree
+    # <= 2 over F_4: digit binomials and rows against exact division, and the
+    # fast product against the brute scan for n < 2 q^h.
+    rings = 0
+    for field, max_degree in ((f2, 4), (f3, 4), (f4, 2)):
+        q = field.q
+        exact = {}  # binom(a, b)_C does not depend on the prime
+        for h in range(1, max_degree + 1):
+            for a in range(q**h):
+                for b in range(a + 1):
+                    if (a, b) not in exact:
+                        exact[a, b] = binom_exact(a, b, field)
+            for prime in _monic_irreducibles(field, h):
+                rings += 1
+                ctx = ResidueCtx(prime)
+                cache = DigitBinomCache(ctx)
+                table = BaseTable(ctx, cache)
+                for a in range(ctx.base):
+                    row = table.row(a)
+                    for b in range(ctx.base):
+                        got = cache.digit_binom(a, b)
+                        if b > a:
+                            assert got.is_zero()
+                            continue
+                        want = ctx.reduce(exact[a, b])
+                        assert got == want, (str(prime), a, b)
+                        assert row[b] == ctx.dlog(want), (str(prime), a, b)
+                for n in range(2 * ctx.base):
+                    brute = distribution_brute(n, ctx, cache, table=table)
+                    assert gn_fast(n, ctx, cache, table) == brute.counts, (str(prime), n)
+    assert rings == 50
 
 
 # -- JSON interchange -----------------------------------------------------------
