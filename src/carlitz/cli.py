@@ -8,8 +8,10 @@
     carlitz irreducible -- test a polynomial, or find one by degree
 
 Exit codes: 0 success, 1 check mismatch, 2 bad usage or validation,
-3 guardrail exceeded.  Integers of any length are accepted and printed:
-Python's int-string digit limit is lifted while main runs.
+3 guardrail exceeded, 4 internal error (any other exception, reported as
+one "internal error: <Type>: <message>" line on stderr).  Integers of any
+length are accepted and printed: Python's int-string digit limit is lifted
+while main runs.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_GUARDRAIL = 3
+EXIT_INTERNAL = 4
 
 def _add_field_args(sp):
     sp.add_argument("-p", type=int, required=True, help="field characteristic (prime)")
@@ -266,6 +269,10 @@ def main(argv=None) -> int:
     except (ParseError, ValueError, ArithmeticError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as e:
+        # A bug, not bad input: keep it apart from 1, check's mismatch code.
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     finally:
         if lift:
             sys.set_int_max_str_digits(digit_limit)

@@ -17,19 +17,85 @@ coefficients are taken mod p.  Canonical output lists terms by descending
 power, '+'-separated, elides unit coefficients, and parenthesizes extension
 coefficients ("T^3+2*T", "(u+1)*T+(u)").
 
-Prime-field multiplication and division switch to numpy (exact int64
-arithmetic) once the polynomials are large enough to pay for it.
+Over a prime field every product is one Kronecker substitution: both
+coefficient lists are packed into a single Python int, multiplied once
+(CPython's Karatsuba does the convolution) and unpacked (Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", J. Symb.
+Comput. 2009).  Large divisions take the quotient from a Newton inverse of
+the reversed divisor, so they are a few such products too.  Coefficients
+stay Python ints throughout, so any prime p works.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import sys
+from array import array
 
 from .gf import Field
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
-_NP_MIN_LEN = 32  # below this, schoolbook beats numpy's fixed overhead
+# array typecodes by item size: slots of 1, 2, 4 or 8 bytes pack in C.
+_ARRAY_CODES = {array(t).itemsize: t for t in "BHIQ"}
+
+# Division switches from schoolbook to the Newton quotient once both the
+# quotient and the divisor have at least this many coefficients.  Schoolbook
+# is one Python-level step per quotient coefficient, each as long as the
+# divisor; Newton is about 2 log2(len q) kernel products, whose fixed cost
+# only pays off once both are long.  Timed over F_2, F_3 and F_7, the two
+# break even near 32-48 coefficients; the wide slots of p > 2^32 pack in
+# Python and break even later.
+_NEWTON_MIN_LEN = 48
+
+
+def _slot_width(bound):
+    """Bytes per Kronecker slot for coefficients up to bound: 1, 2, 4, 8 or more."""
+    w = (bound.bit_length() + 7) // 8
+    return next((c for c in (1, 2, 4, 8) if w <= c), w)
+
+
+def _pack(cs, w):
+    code = _ARRAY_CODES.get(w)
+    if code:
+        raw = array(code, cs).tobytes()
+    else:
+        raw = b"".join(c.to_bytes(w, sys.byteorder) for c in cs)
+    return int.from_bytes(raw, sys.byteorder)
+
+
+def _unpack(x, n, w):
+    raw = x.to_bytes(n * w, sys.byteorder)
+    code = _ARRAY_CODES.get(w)
+    if code:
+        out = array(code)
+        out.frombytes(raw)
+        return out
+    return [int.from_bytes(raw[i : i + w], sys.byteorder) for i in range(0, len(raw), w)]
+
+
+def _kmul(a, b, p):
+    """Coefficients of a * b over F_p, all len(a) + len(b) - 1 of them, for
+    nonempty coefficient sequences a and b (zeros anywhere are allowed)."""
+    # Every coefficient of the integer product is at most this, so no slot
+    # carries into the next one.
+    w = _slot_width(min(len(a), len(b)) * (p - 1) ** 2)
+    x = _pack(a, w)
+    y = x if b is a else _pack(b, w)  # CPython squares faster than it multiplies
+    return [c % p for c in _unpack(x * y, len(a) + len(b) - 1, w)]
+
+
+def _inverse_series(f, n, p):
+    """g with f * g = 1 mod T^n over F_p, by Newton iteration; f[0] != 0."""
+    f = list(f[:n]) + [0] * (n - len(f))
+    g = [pow(f[0], p - 2, p)]
+    k = 1
+    while k < n:
+        k2 = min(2 * k, n)
+        # f * g = 1 + T^k * e mod T^k2, so g - T^k * g * e is right mod T^k2.
+        e = _kmul(f[:k2], g, p)[k:k2]
+        g += [-c % p for c in _kmul(g[: k2 - k], e, p)[: k2 - k]]
+        k = k2
+    return g
 
 
 class Poly:
@@ -176,23 +242,7 @@ class Poly:
         if not a or not b:
             return Poly.zero(f)
         if f.s == 1:
-            p = f.p
-            la, lb = len(a), len(b)
-            if (
-                min(la, lb) >= _NP_MIN_LEN
-                and min(la, lb) * (p - 1) * (p - 1) < 2**62
-            ):
-                conv = np.convolve(
-                    np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-                )
-                conv %= p
-                return Poly._mk(f, tuple(int(c) for c in conv))
-            out = [0] * (la + lb - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        out[i + j] += x * y
-            return Poly._mk(f, tuple(c % p for c in out))
+            return Poly._mk(f, tuple(_kmul(a, b, f.p)))
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
@@ -211,8 +261,9 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __divmod__(self, other):
@@ -245,33 +296,34 @@ class Poly:
         return Poly._mk(f, tuple(qcoeffs)), Poly._mk(f, tuple(rem))
 
     def _divmod_prime(self, other):
-        # Long division over F_p on int64 arrays, reducing mod p lazily.
         f = self.field
         p = f.p
         a, b = self.coeffs, other.coeffs
         db = len(b) - 1
         if db == 0:
             return self.scale(f.inv(b[0])), Poly.zero(f)
-        lazy_ok = (db + 2) * (p - 1) * (p - 1) < 2**62
-        r = np.array(a, dtype=np.int64)
-        barr = np.array(b[:-1], dtype=np.int64)
-        binv = pow(b[-1], p - 2, p)
         nq = len(a) - db
-        qcoeffs = [0] * nq
-        for k in range(nq - 1, -1, -1):
-            c = int(r[k + db]) % p
-            if c:
-                qc = c * binv % p
-                qcoeffs[k] = qc
-                r[k : k + db] -= qc * barr
-                if not lazy_ok:
-                    r[k : k + db] %= p
-        rem = [int(c) % p for c in r[:db]]
+        if min(nq, db) < _NEWTON_MIN_LEN:
+            # Long division on Python ints, reducing mod p only where read.
+            binv = pow(b[-1], p - 2, p)
+            r = list(a)
+            quo = [0] * nq
+            for k in range(nq - 1, -1, -1):
+                c = r[k + db] % p
+                if c:
+                    qc = quo[k] = c * binv % p
+                    r[k : k + db] = [x - qc * y for x, y in zip(r[k : k + db], b)]
+            rem = [c % p for c in r[:db]]
+        else:
+            # Reversed, a = q * b + r reads rev(a) = rev(q) * rev(b) mod T^nq.
+            inv = _inverse_series(b[::-1], nq, p)
+            quo = _kmul(a[::-1][:nq], inv, p)[nq - 1 :: -1]
+            # r = a - q * b has degree < db, so only the low db terms are needed.
+            low = _kmul(quo[:db], b[:db], p)
+            rem = [(x - y) % p for x, y in zip(a[:db], low)]
         while rem and rem[-1] == 0:
             rem.pop()
-        while qcoeffs and qcoeffs[-1] == 0:
-            qcoeffs.pop()
-        return Poly._mk(f, tuple(qcoeffs)), Poly._mk(f, tuple(rem))
+        return Poly._mk(f, tuple(quo)), Poly._mk(f, tuple(rem))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]

@@ -2,7 +2,9 @@
 discrete-log structure of its unit group.
 
 A residue is represented by its canonical remainder, a polynomial of degree
-below h, kept as a trimmed tuple of field-element encodings.  Residues also
+below h, kept as a trimmed tuple of field-element encodings.  Reducing a ring
+element is polyring's remainder (`poly % prime`); a product of two residues
+is folded back with the rows T^k mod p, k = h .. 2h-2.  Residues also
 have a canonical integer encoding sum(enc(c_i) * q^i) in [0, q^h), which
 indexes the discrete-log table and keys every cache.
 
@@ -14,8 +16,6 @@ full table while the group is small and from baby-step/giant-step beyond.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .intfactor import factorize
 from .limits import DLOG_TABLE_LIMIT
@@ -145,13 +145,8 @@ class ResidueCtx:
         self.key = (self.field, prime.coeffs)
 
         # T^k mod prime for k = h .. 2h-2 (enough to fold any product of reps).
-        # _shift_mod folds with rows[0], so the list is in place before it runs.
-        rows = [tuple(self.field.neg(c) for c in prime.coeffs[:-1])]
-        self._fold_rows = rows
-        for _ in range(self.h - 2):
-            rows.append(self._shift_mod(rows[-1]))
-        self._red_rows = None  # lazily extended T^k rows for reduce()
-        self._red_matrix = None
+        self._fold_rows = [(Poly.monomial(self.field, k) % prime).coeffs
+                           for k in range(self.h, 2 * self.h - 1)]
 
         self.zero = Residue(self, ())
         self.one = Residue(self, (1,))
@@ -173,25 +168,6 @@ class ResidueCtx:
             self._build_dlog_table()
 
     # -- construction helpers ------------------------------------------------
-
-    def _shift_mod(self, coeffs):
-        """coeffs (degree < h, padded or trimmed) -> T * coeffs mod prime."""
-        f = self.field
-        shifted = (0,) + coeffs
-        if len(shifted) <= self.h:
-            return shifted
-        lead = shifted[self.h]
-        shifted = shifted[: self.h]
-        if lead:
-            base = self._fold_rows[0]
-            shifted = tuple(
-                f.add(shifted[i], f.mul(lead, base[i] if i < len(base) else 0))
-                for i in range(self.h)
-            )
-        out = list(shifted)
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
 
     def _is_primitive(self, r: Residue) -> bool:
         if not r:
@@ -227,56 +203,7 @@ class ResidueCtx:
 
     def reduce(self, poly: Poly) -> Residue:
         """The residue of an arbitrary ring element."""
-        if poly.field != self.field:
-            raise ValueError("polynomial lies over a different field")
-        if len(poly.coeffs) <= self.h:
-            return Residue(self, poly.coeffs)
-        f = self.field
-        if f.s == 1 and (len(poly.coeffs) + 1) * (f.p - 1) * (f.p - 1) < 2**62:
-            m = self._reduction_matrix(len(poly.coeffs) - 1)
-            vec = np.array(poly.coeffs, dtype=np.int64)
-            out = (vec @ m[: len(vec)]) % f.p
-            coeffs = [int(c) for c in out]
-        else:
-            rows = self._extend_red_rows(len(poly.coeffs) - 1)
-            acc = list(poly.coeffs[: self.h])
-            for k in range(self.h, len(poly.coeffs)):
-                c = poly.coeffs[k]
-                if c:
-                    row = rows[k]
-                    for i in range(len(row)):
-                        acc[i] = f.add(acc[i], f.mul(c, row[i]))
-            coeffs = acc
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return Residue(self, tuple(coeffs))
-
-    def _extend_red_rows(self, maxdeg):
-        if self._red_rows is None:
-            # rows[k] holds T^k mod prime; the k < h slots are never read.
-            self._red_rows = [()] * self.h
-        rows = self._red_rows
-        while len(rows) <= maxdeg:
-            k = len(rows)
-            rows.append(self._fold_rows[0] if k == self.h else self._shift_mod(rows[-1]))
-        return rows
-
-    def _reduction_matrix(self, maxdeg):
-        if self._red_matrix is not None and self._red_matrix.shape[0] > maxdeg:
-            return self._red_matrix
-        # Grow geometrically so repeated slightly-larger requests don't rebuild.
-        grown = max(maxdeg, 2 * self.h)
-        if self._red_matrix is not None:
-            grown = max(grown, 2 * self._red_matrix.shape[0])
-        rows = self._extend_red_rows(grown)
-        m = np.zeros((len(rows), self.h), dtype=np.int64)
-        for k in range(self.h):
-            m[k, k] = 1
-        for k in range(self.h, len(rows)):
-            row = rows[k]
-            m[k, : len(row)] = row
-        self._red_matrix = m
-        return m
+        return Residue(self, (poly % self.prime).coeffs)
 
     # -- core arithmetic -----------------------------------------------------
 

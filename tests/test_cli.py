@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from carlitz import BaseTable, CountPoly, DigitBinomCache, distribution, to_json_dict
+import carlitz
+from carlitz import BaseTable, CountPoly, DigitBinomCache, cli, distribution, to_json_dict
 from carlitz.cli import main
 
 GOLDEN_1811 = {
@@ -317,6 +320,34 @@ def test_irreducible_command(capsys):
     assert code == 0 and out == "T^2+1\n"
     assert run(["irreducible", "-p", "3"], capsys)[0] == 2
     assert run(["irreducible", "-p", "3", "--poly", "T", "--degree", "1"], capsys)[0] == 2
+
+
+def test_irreducible_large_prime(capsys):
+    # p = 4294967311 > 2^32; sympy 1.14 verified this cubic irreducible offline.
+    code, out, _ = run(["irreducible", "-p", "4294967311", "--poly",
+                        "T^3+486215926*T^2+3869338171*T+2787324501"], capsys)
+    assert code == 0 and out == "true\n"
+
+
+def test_internal_error_exits_4(capsys, monkeypatch):
+    def broken(args, out):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "primroot", broken)
+    code, out, err = run(["primroot", "-p", "3", "--prime", "T^2+1"], capsys)
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_import_does_not_load_numpy():
+    src = str(Path(carlitz.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, carlitz.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_installed_entry_point(tmp_path):

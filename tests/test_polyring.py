@@ -77,7 +77,7 @@ def test_divmod_identity_random(f2, f3, f4, f9):
 
 
 def test_divmod_large_polynomials(f3):
-    # Degrees large enough to hit the vectorized mul/divmod paths; the
+    # Degrees large enough to take the Newton division path; the
     # reconstruction identity holds regardless of which path ran.
     rng = random.Random(13)
     for _ in range(20):
@@ -245,3 +245,112 @@ def test_parse_upoly():
     assert parse_upoly("u^2+1", 3) == (1, 0, 1)
     with pytest.raises(ParseError):
         parse_upoly("T+1", 3)
+
+
+# -- the Kronecker kernel and Newton division (prime fields) -------------------
+
+
+def schoolbook_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(c % p for c in out)
+
+
+def nonzero_poly(field, length, rng):
+    cs = [rng.randrange(field.q) for _ in range(length - 1)]
+    return Poly(field, cs + [rng.randrange(1, field.q)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 251, 65537, 4294967311])
+def test_kronecker_product_matches_schoolbook(p):
+    # Across these primes the lengths make the slot bound
+    # min(len a, len b) * (p-1)^2 need 1, 2, 4, 8 and more than 8 bytes.
+    field = Field(p)
+    rng = random.Random(p)
+    widths = set()
+    for la, lb in [(1, 1), (1, 9), (7, 8), (63, 64), (64, 100), (300, 256)]:
+        a, b = nonzero_poly(field, la, rng), nonzero_poly(field, lb, rng)
+        assert (a * b).coeffs == schoolbook_mul(a.coeffs, b.coeffs, p), (p, la, lb)
+        assert (a * a).coeffs == schoolbook_mul(a.coeffs, a.coeffs, p), (p, la)
+        nbytes = (min(la, lb) * (p - 1) ** 2).bit_length() + 7 >> 3
+        widths.add(next((w for w in (1, 2, 4, 8) if nbytes <= w), "wide"))
+    expected = {2: {1, 2}, 3: {1, 2}, 7: {1, 2}, 251: {2, 4}, 65537: {8},
+                4294967311: {"wide"}}
+    assert widths == expected[p]
+
+
+def test_extension_field_product_unchanged(f4):
+    # s > 1 keeps its schoolbook over Field arithmetic.
+    rng = random.Random(29)
+    a, b = nonzero_poly(f4, 40, rng), nonzero_poly(f4, 33, rng)
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = f4.add(out[i + j], f4.mul(x, y))
+    assert (a * b).coeffs == tuple(out)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 65537])
+def test_divmod_both_sides_of_newton_crossover(p):
+    from carlitz.polyring import _NEWTON_MIN_LEN as cross
+
+    field = Field(p)
+    rng = random.Random(31 + p)
+    # Quotient length lq and divisor degree lb - 1 straddle the crossover.
+    for lq, lb in [(cross - 1, cross + 5), (cross + 5, cross - 1), (cross, cross + 1),
+                   (3 * cross, 2 * cross), (20 * cross, cross + 3), (2, 10 * cross)]:
+        b = nonzero_poly(field, lb, rng)
+        if b.is_monic() and p > 2:
+            b = b.scale(p - 1)  # a non-monic divisor
+        q = nonzero_poly(field, lq, rng)
+        for r in (Poly.zero(field), nonzero_poly(field, lb - 1, rng)):
+            quo, rem = divmod(q * b + r, b)
+            assert quo == q and rem == r, (p, lq, lb)
+
+
+@pytest.mark.parametrize("p", [65537, 4294967311, 2**61 - 1, 2**89 - 1])
+def test_divmod_identity_large_primes(p):
+    # int64 arithmetic overflowed silently for p > 2^32 and raised
+    # OverflowError beyond 2^63; Python ints have neither limit.
+    field = Field(p)
+    rng = random.Random(37)
+    for la, lb in [(5, 3), (40, 20), (300, 120), (130, 60)]:
+        a, b = nonzero_poly(field, la, rng), nonzero_poly(field, lb, rng)
+        q, r = divmod(a, b)
+        assert q * b + r == a
+        assert r.degree < b.degree
+
+
+def test_large_prime_split_cubic_is_reducible():
+    field = Field(4294967311)
+    rng = random.Random(41)
+    for _ in range(3):
+        linears = [Poly(field, [rng.randrange(field.p), 1]) for _ in range(3)]
+        assert not is_irreducible(linears[0] * linears[1] * linears[2])
+
+
+def test_pow_matches_repeated_product(f3, f4, monkeypatch):
+    rng = random.Random(43)
+    for field in (f3, f4):
+        base = nonzero_poly(field, 6, rng)
+        naive = Poly.one(field)
+        for e in range(10):
+            assert base**e == naive
+            naive = naive * base
+    squarings = []
+    mul = Poly.__mul__
+
+    def counting_mul(self, other):
+        if self is other:
+            squarings.append(self)
+        return mul(self, other)
+
+    base = nonzero_poly(f3, 6, rng)
+    fourth = base * base * base * base
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    assert base**1 == base
+    assert squarings == []  # no squaring after the exponent's last bit
+    assert base**4 == fourth
+    assert len(squarings) == 2
