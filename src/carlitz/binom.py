@@ -26,6 +26,7 @@ from .gf import Field
 from .limits import DEFAULT_EXACT_DEGREE_LIMIT, GuardrailError
 from .polyring import Poly
 from .residue import Residue, ResidueCtx
+from .words import digits_of
 
 
 @lru_cache(maxsize=64)
@@ -49,15 +50,6 @@ def d_poly(i: int, field: Field, degree_limit: int = DEFAULT_EXACT_DEGREE_LIMIT)
     return acc
 
 
-def _base_digits(n, base):
-    digits = [n % base]
-    n //= base
-    while n:
-        digits.append(n % base)
-        n //= base
-    return digits
-
-
 @lru_cache(maxsize=4096)
 def factorial_exact(n: int, field: Field,
                     degree_limit: int = DEFAULT_EXACT_DEGREE_LIMIT) -> Poly:
@@ -65,7 +57,7 @@ def factorial_exact(n: int, field: Field,
     if n < 0:
         raise ValueError("factorial needs n >= 0")
     q = field.q
-    digits = _base_digits(n, q)
+    digits = digits_of(n, q)
     deg = sum(ni * i * q**i for i, ni in enumerate(digits))
     if deg > degree_limit:
         raise GuardrailError(
@@ -159,7 +151,7 @@ class DigitBinomCache:
             raise ValueError("factorial needs n >= 0")
         ctx = self.ctx
         result = ctx.one
-        for i, ni in enumerate(_base_digits(n, ctx.q)):
+        for i, ni in enumerate(digits_of(n, ctx.q)):
             if ni:
                 if i >= ctx.h:
                     return ctx.zero

@@ -114,12 +114,13 @@ def _field_from_args(args) -> Field:
 
 
 def _ctx_from_args(args, field: Field) -> ResidueCtx:
-    if getattr(args, "prime", None) and getattr(args, "prime_degree", None):
+    prime_degree = getattr(args, "prime_degree", None)
+    if getattr(args, "prime", None) and prime_degree is not None:
         raise ValueError("give either --prime or --prime-degree, not both")
     if getattr(args, "prime", None):
         prime = parse_poly(args.prime, field)
-    elif getattr(args, "prime_degree", None):
-        prime = find_irreducible(args.prime_degree, field)
+    elif prime_degree is not None:
+        prime = find_irreducible(prime_degree, field)
     else:
         raise ValueError("a prime is required: pass --prime or --prime-degree")
     root = None
@@ -213,7 +214,7 @@ def _cmd_binom(args, out):
 def _cmd_factorial(args, out):
     field = _field_from_args(args)
     n = _parse_n(args.n)
-    wants_mod = (args.prime or args.prime_degree) and not args.exact
+    wants_mod = (args.prime or args.prime_degree is not None) and not args.exact
     if wants_mod:
         ctx = _ctx_from_args(args, field)
         cache = DigitBinomCache(ctx)

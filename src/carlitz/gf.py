@@ -9,7 +9,10 @@ which owns the defining modulus for s > 1.
 Extension fields are F_p[u] modulo a monic irreducible of degree s.  When
 no modulus is supplied the canonical one is used: the monic irreducible
 whose coefficient tuple (c_0, ..., c_{s-1}) is smallest in the integer
-encoding above, so every run of every build picks the same field.
+encoding above, so every run of every build picks the same field.  That
+search and the check of a supplied modulus are polyring's
+find_irreducible and Rabin test over the prime field F_p, so F_p[u] has
+no polynomial arithmetic of its own here.
 """
 
 from __future__ import annotations
@@ -17,99 +20,19 @@ from __future__ import annotations
 from .intfactor import is_prime
 
 
-def _trim(cs):
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim([c % p for c in out])
-
-
-def _pmod(a, m, p):
-    a = [c % p for c in a]
-    _trim(a)
-    dm = len(m) - 1
-    inv = pow(m[-1], p - 2, p)
-    for k in range(len(a) - 1 - dm, -1, -1):
-        c = a[k + dm]
-        if c:
-            qc = c * inv % p
-            for j in range(dm + 1):
-                a[k + j] = (a[k + j] - qc * m[j]) % p
-    return _trim(a)
-
-
-def _ppowmod(a, e, m, p):
-    result = [1]
-    a = _pmod(a, m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, a, p), m, p)
-        a = _pmod(_pmul(a, a, p), m, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _u_irreducible(coeffs, p):
-    """Rabin irreducibility test for a monic polynomial over F_p."""
-    d = len(coeffs) - 1
-    if d < 1:
-        return False
-    u = [0, 1]
-    if _ppowmod(u, p**d, coeffs, p) != _pmod(u, coeffs, p):
-        return False
-    ell = 2
-    dd = d
-    while dd > 1:
-        if dd % ell == 0:
-            g = _pgcd(
-                _psub(_ppowmod(u, p ** (d // ell), coeffs, p), u, p), coeffs, p
-            )
-            if len(g) != 1:
-                return False
-            while dd % ell == 0:
-                dd //= ell
-        ell += 1
-    return True
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _trim(out)
-
-
-def _default_modulus(p, s):
-    for e in range(p**s):
-        coeffs = []
-        v = e
-        for _ in range(s):
-            coeffs.append(v % p)
-            v //= p
-        coeffs.append(1)
-        if _u_irreducible(coeffs, p):
-            return tuple(coeffs)
-    raise ArithmeticError(f"no irreducible of degree {s} over F_{p}")  # unreachable
+def _upoly_str(cs) -> str:
+    """Canonical text of the u-polynomial with F_p coefficients cs, lowest first."""
+    terms = []
+    for i in range(len(cs) - 1, -1, -1):
+        c = cs[i]
+        if not c:
+            continue
+        if i == 0:
+            terms.append(str(c))
+        else:
+            mono = "u" if i == 1 else f"u^{i}"
+            terms.append(mono if c == 1 else f"{c}*{mono}")
+    return "+".join(terms)
 
 
 class Field:
@@ -131,13 +54,16 @@ class Field:
             self.modulus = None
             self._red_rows = None
             return
+        # polyring imports Field, so it can only be imported once gf is loaded.
+        from .polyring import Poly, find_irreducible, is_irreducible
+
         if modulus is None:
-            modulus = _default_modulus(p, s)
+            modulus = find_irreducible(s, Field(p)).coeffs
         else:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != s + 1 or modulus[-1] != 1:
                 raise ValueError(f"modulus must be monic of degree {s}")
-            if not _u_irreducible(list(modulus), p):
+            if not is_irreducible(Poly(Field(p), modulus)):
                 raise ValueError("modulus is reducible")
         self.modulus = modulus
         # Reduction rows: coordinates of u^k mod modulus for k = s .. 2s-2.
@@ -245,8 +171,9 @@ class Field:
         while e:
             if e & 1:
                 result = self.mul(result, a)
-            a = self.mul(a, a)
             e >>= 1
+            if e:
+                a = self.mul(a, a)
         return result
 
     # -- text --------------------------------------------------------------
@@ -256,34 +183,13 @@ class Field:
         self._check(a)
         if self.s == 1 or a < self.p:
             return str(a)
-        cs = self.coords(a)
-        terms = []
-        for i in range(self.s - 1, -1, -1):
-            c = cs[i]
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                mono = "u" if i == 1 else f"u^{i}"
-                terms.append(mono if c == 1 else f"{c}*{mono}")
-        return "+".join(terms)
+        return _upoly_str(self.coords(a))
 
     def modulus_str(self):
         """Canonical u-polynomial text of the defining modulus, None for s = 1."""
         if self.modulus is None:
             return None
-        terms = []
-        for i in range(self.s, -1, -1):
-            c = self.modulus[i]
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                mono = "u" if i == 1 else f"u^{i}"
-                terms.append(mono if c == 1 else f"{c}*{mono}")
-        return "+".join(terms)
+        return _upoly_str(self.modulus)
 
     # -- identity ----------------------------------------------------------
 

@@ -32,6 +32,7 @@ import sys
 from array import array
 
 from .gf import Field
+from .intfactor import prime_factors
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -392,26 +393,13 @@ def poly_powmod(base: Poly, e: int, mod: Poly) -> Poly:
     while e:
         if e & 1:
             result = result * base % mod
-        base = base * base % mod
         e >>= 1
+        if e:
+            base = base * base % mod
     return result
 
 
 # -- irreducibility ----------------------------------------------------------
-
-
-def _small_prime_factors(d):
-    out = []
-    ell = 2
-    while ell * ell <= d:
-        if d % ell == 0:
-            out.append(ell)
-            while d % ell == 0:
-                d //= ell
-        ell += 1
-    if d > 1:
-        out.append(d)
-    return out
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -425,7 +413,7 @@ def is_irreducible(f: Poly) -> bool:
     t = Poly.gen(f.field)
     if poly_powmod(t, q**d, f) != t % f:
         return False
-    for ell in _small_prime_factors(d):
+    for ell in prime_factors(d):
         g = poly_gcd(poly_powmod(t, q ** (d // ell), f) - t, f)
         if g.degree != 0:
             return False

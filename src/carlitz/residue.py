@@ -2,11 +2,14 @@
 discrete-log structure of its unit group.
 
 A residue is represented by its canonical remainder, a polynomial of degree
-below h, kept as a trimmed tuple of field-element encodings.  Reducing a ring
-element is polyring's remainder (`poly % prime`); a product of two residues
-is folded back with the rows T^k mod p, k = h .. 2h-2.  Residues also
-have a canonical integer encoding sum(enc(c_i) * q^i) in [0, q^h), which
-indexes the discrete-log table and keys every cache.
+below h, kept as a trimmed tuple of field-element encodings.  Its arithmetic
+is polyring's: sums and negatives are Poly arithmetic on the representative,
+a ring element is reduced by `poly % prime`, and over F_q with s > 1 a
+product is `(a * b) % prime`.  Over a prime field a product is instead
+folded back with the rows T^k mod p, k = h .. 2h-2, which is faster on these
+short representatives.  Residues also have a canonical integer encoding
+sum(enc(c_i) * q^i) in [0, q^h), which indexes the discrete-log table and
+keys every cache.
 
 The unit group is cyclic of order q^h - 1.  A ResidueCtx fixes one
 generator ("primitive root"): either a validated caller choice or the first
@@ -68,20 +71,10 @@ class Residue:
 
     def __add__(self, other):
         self._same_ctx(other)
-        f = self.ctx.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        while out and out[-1] == 0:
-            out.pop()
-        return Residue(self.ctx, tuple(out))
+        return Residue(self.ctx, (self.rep + other.rep).coeffs)
 
     def __neg__(self):
-        f = self.ctx.field
-        return Residue(self.ctx, tuple(f.neg(c) for c in self.coeffs))
+        return Residue(self.ctx, (-self.rep).coeffs)
 
     def __sub__(self, other):
         return self + (-other)
@@ -144,7 +137,8 @@ class ResidueCtx:
         self.factors = factorize(self.group_order) if self.group_order > 1 else []
         self.key = (self.field, prime.coeffs)
 
-        # T^k mod prime for k = h .. 2h-2 (enough to fold any product of reps).
+        # T^k mod prime for k = h .. 2h-2: enough to fold any product of reps
+        # over F_p (see _mul).
         self._fold_rows = [(Poly.monomial(self.field, k) % prime).coeffs
                            for k in range(self.h, 2 * self.h - 1)]
 
@@ -208,42 +202,31 @@ class ResidueCtx:
     # -- core arithmetic -----------------------------------------------------
 
     def _mul(self, ac, bc):
-        """Product of two residue coefficient tuples, folded mod the prime."""
+        """Product of two residue coefficient tuples, reduced mod the prime."""
         if not ac or not bc:
             return ()
         f = self.field
+        if f.s > 1:
+            return ((Poly._mk(f, ac) * Poly._mk(f, bc)) % self.prime).coeffs
+        # Over F_p the schoolbook product folded with the rows T^k mod prime
+        # beats Poly * Poly % prime on reps of degree < h: the dlog table does
+        # q^h - 1 of these products, and going through polyring made building
+        # ResidueCtx(T^15+T+1) about twice as slow.
         h = self.h
-        if f.s == 1:
-            p = f.p
-            out = [0] * (len(ac) + len(bc) - 1)
-            for i, x in enumerate(ac):
-                if x:
-                    for j, y in enumerate(bc):
-                        out[i + j] += x * y
-            for k in range(len(out) - 1, h - 1, -1):
-                c = out[k] % p
-                out[k] = 0
-                if c:
-                    row = self._fold_rows[k - h]
-                    for i, rc in enumerate(row):
-                        out[i] += c * rc
-            res = [c % p for c in out[:h]]
-        else:
-            out = [0] * (len(ac) + len(bc) - 1)
-            for i, x in enumerate(ac):
-                if x:
-                    for j, y in enumerate(bc):
-                        if y:
-                            out[i + j] = f.add(out[i + j], f.mul(x, y))
-            for k in range(len(out) - 1, h - 1, -1):
-                c = out[k]
-                out[k] = 0
-                if c:
-                    row = self._fold_rows[k - h]
-                    for i, rc in enumerate(row):
-                        if rc:
-                            out[i] = f.add(out[i], f.mul(c, rc))
-            res = out[:h]
+        p = f.p
+        out = [0] * (len(ac) + len(bc) - 1)
+        for i, x in enumerate(ac):
+            if x:
+                for j, y in enumerate(bc):
+                    out[i + j] += x * y
+        for k in range(len(out) - 1, h - 1, -1):
+            c = out[k] % p
+            out[k] = 0
+            if c:
+                row = self._fold_rows[k - h]
+                for i, rc in enumerate(row):
+                    out[i] += c * rc
+        res = [c % p for c in out[:h]]
         while res and res[-1] == 0:
             res.pop()
         return tuple(res)

@@ -19,9 +19,12 @@ by direct scan; it is deliberately simple, the bulk counting lives in dist.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .binom import DigitBinomCache
 from .limits import DEFAULT_CLASS_ENUM_LIMIT, GuardrailError
+
+if TYPE_CHECKING:
+    from .binom import DigitBinomCache
 
 
 def digits_of(n: int, base: int) -> list[int]:

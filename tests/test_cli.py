@@ -210,6 +210,15 @@ def test_exit_usage_prime_spec(capsys):
     assert code == 2
 
 
+def test_exit_usage_prime_degree_zero(capsys):
+    # --prime-degree 0 is a given degree, not a missing option.
+    for command in ("dist", "factorial"):
+        code, out, err = run([command, "-p", "3", "--prime-degree", "0", "-n", "5"], capsys)
+        assert code == 2, command
+        assert out == ""
+        assert "degree must be >= 1, got 0" in err
+
+
 def test_exit_usage_field_modulus_on_prime_field(capsys):
     code, _, _ = run(
         ["dist", "-p", "3", "--field-modulus", "u+1", "--prime", "T^2+1", "-n", "5"],

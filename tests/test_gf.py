@@ -68,6 +68,16 @@ def test_default_modulus_is_first_irreducible():
     # Degree-2 over F_3: first candidate without a root is u^2+1.
     assert Field(3, 2).modulus == (1, 0, 1)
 
+    # field_modulus is a JSON field, so the canonical moduli are pinned.
+    goldens = {
+        (2, 2): "u^2+u+1", (2, 3): "u^3+u+1", (2, 4): "u^4+u+1",
+        (2, 5): "u^5+u^2+1", (2, 8): "u^8+u^4+u^3+u+1",
+        (3, 2): "u^2+1", (3, 3): "u^3+2*u+1", (3, 4): "u^4+u+2",
+        (5, 2): "u^2+2", (5, 3): "u^3+u+1", (7, 2): "u^2+1", (65537, 2): "u^2+3",
+    }
+    for (p, s), text in goldens.items():
+        assert Field(p, s).modulus_str() == text, (p, s)
+
 
 def test_default_modulus_passes_ring_irreducibility():
     # The chosen modulus must test irreducible over F_p in the polynomial ring.
@@ -85,6 +95,28 @@ def test_supplied_modulus_validation():
         Field(2, 2, modulus=(1, 1))  # wrong degree
     with pytest.raises(ValueError):
         Field(3, 1, modulus=(1, 1))  # prime field takes none
+    with pytest.raises(ValueError):
+        Field(3, 3, modulus=(1, 1, 1, 1))  # u^3+u^2+u+1 = (u+1)(u^2+1)
+    assert Field(3, 3, modulus=(1, 2, 0, 1)).modulus_str() == "u^3+2*u+1"
+
+
+def test_pow_skips_the_last_squaring(monkeypatch):
+    f9 = Field(3, 2)
+    a = f9.from_coords((1, 2))
+    fourth = f9.mul(f9.mul(a, a), f9.mul(a, a))
+    calls = []
+    mul = Field.mul
+
+    def counting_mul(self, x, y):
+        calls.append((x, y))
+        return mul(self, x, y)
+
+    monkeypatch.setattr(Field, "mul", counting_mul)
+    assert f9.pow(a, 1) == a
+    assert calls == [(1, a)]  # no squaring after the exponent's last bit
+    calls.clear()
+    assert f9.pow(a, 4) == fourth
+    assert len(calls) == 3  # two squarings and one product
 
 
 def test_bad_parameters():

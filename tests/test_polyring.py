@@ -139,6 +139,25 @@ def test_powmod(f3):
         poly_powmod(t, -1, mod)
 
 
+def test_powmod_skips_the_last_squaring(f3, monkeypatch):
+    mod = parse_poly("T^5+2*T+1", f3)
+    base = parse_poly("T^3+2*T^2+1", f3)
+    fourth = base * base * base * base % mod
+    squarings = []
+    mul = Poly.__mul__
+
+    def counting_mul(self, other):
+        if self is other:
+            squarings.append(self)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    assert poly_powmod(base, 1, mod) == base
+    assert squarings == []  # no squaring after the exponent's last bit
+    assert poly_powmod(base, 4, mod) == fourth
+    assert len(squarings) == 2
+
+
 # -- irreducibility -----------------------------------------------------------
 
 

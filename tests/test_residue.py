@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from carlitz import Field, Poly, ResidueCtx, parse_poly
+from carlitz import Field, Poly, ResidueCtx, find_irreducible, parse_poly
 from carlitz.intfactor import factorize, is_prime
 
 
@@ -87,19 +87,38 @@ def test_unit_group_enumeration(small_rings):
         assert seen == set(range(1, ctx.base))
 
 
-def test_residue_arithmetic_exhaustive(ctx9, f3):
-    # Ring laws against plain polynomial arithmetic mod the prime.
-    prime = ctx9.prime
-    residues = [ctx9.from_enc(e) for e in range(9)]
-    for a in residues:
-        for b in residues:
+def test_residue_arithmetic_exhaustive(ctx9, f4, f9):
+    # Ring laws against plain polynomial arithmetic mod the prime: every pair
+    # on the small rings, random pairs on the large ones.  This pins the fold
+    # over F_p in ResidueCtx._mul, the one residue product outside polyring.
+    rings = [
+        ctx9,
+        ResidueCtx(parse_poly("T^3+T+1", f4)),
+        ResidueCtx(find_irreducible(2, f9)),
+        ResidueCtx(parse_poly("T^15+T+1", Field(2)), dlog_table_limit=0),
+        # The root search would walk the 2^61 - 2 constants first; T+6 is the
+        # first primitive T+c.
+        ResidueCtx(find_irreducible(2, Field(2**61 - 1)),
+                   primitive_root=parse_poly("T+6", Field(2**61 - 1))),
+    ]
+    rng = random.Random(37)
+    for ctx in rings:
+        prime = ctx.prime
+        if ctx.base <= 81:
+            residues = [ctx.from_enc(e) for e in range(ctx.base)]
+            pairs = [(a, b) for a in residues for b in residues]
+        else:
+            encs = [rng.randrange(ctx.base) for _ in range(1000)]
+            pairs = [(ctx.from_enc(x), ctx.from_enc(y)) for x, y in zip(encs[::2], encs[1::2])]
+        for a, b in pairs:
             assert (a + b).rep == (a.rep + b.rep) % prime
             assert (a * b).rep == (a.rep * b.rep) % prime
             assert (a - b).rep == (a.rep - b.rep) % prime
-    for a in residues[1:]:
-        inv = a.inverse()
-        assert a * inv == ctx9.one
-        assert inv.rep.degree < 2 or not inv.rep
+        for a, _ in pairs[:200]:
+            if a:
+                inv = a.inverse()
+                assert a * inv == ctx.one
+                assert inv.rep.degree < ctx.h
 
 
 def test_reduce(ctx9, f3):
