@@ -50,7 +50,6 @@ def d_poly(i: int, field: Field, degree_limit: int = DEFAULT_EXACT_DEGREE_LIMIT)
     return acc
 
 
-@lru_cache(maxsize=4096)
 def factorial_exact(n: int, field: Field,
                     degree_limit: int = DEFAULT_EXACT_DEGREE_LIMIT) -> Poly:
     """The Carlitz factorial n!_C as an exact polynomial."""

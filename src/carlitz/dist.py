@@ -22,8 +22,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from operator import mul
 
 from .binom import DigitBinomCache, _carries
+from .gf import Field, power
 from .limits import DEFAULT_ENUM_LIMIT, GuardrailError
 from .polyring import parse_poly, parse_upoly
 from .residue import ResidueCtx
@@ -86,15 +88,7 @@ class CountPoly:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("count polynomials only take nonnegative powers")
-        result = CountPoly.one(len(self.coeffs))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(self, e, CountPoly.one(len(self.coeffs)), mul)
 
     def eval_one(self) -> int:
         """The total mass G(1) = sum of coefficients."""
@@ -324,8 +318,6 @@ def to_json_dict(dist: Distribution) -> dict:
 
 def from_json_dict(doc: dict) -> Distribution:
     """Rebuild a Distribution (and its ring) from the JSON form."""
-    from .gf import Field
-
     p = int(doc["p"])
     s = int(doc["s"])
     modulus = parse_upoly(doc["field_modulus"], p) if doc["field_modulus"] else None

@@ -12,33 +12,67 @@ whose coefficient tuple (c_0, ..., c_{s-1}) is smallest in the integer
 encoding above, so every run of every build picks the same field.  That
 search and the check of a supplied modulus are polyring's
 find_irreducible and Rabin test over the prime field F_p, so F_p[u] has
-no polynomial arithmetic of its own here.
+no polynomial arithmetic of its own here.  As the bottom of the tower F_q,
+F_q[T], A/p, gf also holds what every level shares: the square-and-multiply
+`power`, the fold `mul_fold` and the term printer `terms_str`.
 """
 
 from __future__ import annotations
 
 from .intfactor import is_prime
+from .words import digits_of
 
 
-def _upoly_str(cs) -> str:
-    """Canonical text of the u-polynomial with F_p coefficients cs, lowest first."""
+def power(x, e, one, mul):
+    """x^e for an integer e >= 0 by square-and-multiply under mul, with
+    identity one; nothing is squared after e's last bit."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return result
+
+
+def mul_fold(a, b, n, rows, p):
+    """Coefficients of a * b mod m over F_p (n of them, or fewer), for a, b
+    of length <= n, m monic of degree n and rows[k] = x^(n+k) mod m."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    # Each row has degree < n, so folding one never feeds a higher one.
+    for k in range(n, len(out)):
+        c = out[k] % p
+        if c:
+            for i, rc in enumerate(rows[k - n]):
+                out[i] += c * rc
+    return [c % p for c in out[:n]]
+
+
+def terms_str(cs, var, coeff_str=str) -> str:
+    """Canonical text of sum cs[k] * var^k: descending powers, '+'-separated,
+    zero terms dropped, unit coefficients elided; "" when every cs[k] is 0."""
     terms = []
-    for i in range(len(cs) - 1, -1, -1):
-        c = cs[i]
+    for k in range(len(cs) - 1, -1, -1):
+        c = cs[k]
         if not c:
             continue
-        if i == 0:
-            terms.append(str(c))
+        if k == 0:
+            terms.append(coeff_str(c))
         else:
-            mono = "u" if i == 1 else f"u^{i}"
-            terms.append(mono if c == 1 else f"{c}*{mono}")
+            mono = var if k == 1 else f"{var}^{k}"
+            terms.append(mono if c == 1 else f"{coeff_str(c)}*{mono}")
     return "+".join(terms)
 
 
 class Field:
     """The finite field F_q, q = p^s, acting on int-encoded elements."""
 
-    __slots__ = ("p", "s", "q", "modulus", "_red_rows")
+    __slots__ = ("p", "s", "q", "modulus", "_fold_rows")
 
     def __init__(self, p: int, s: int = 1, modulus=None):
         if not is_prime(p):
@@ -52,41 +86,33 @@ class Field:
             if modulus is not None:
                 raise ValueError("a prime field takes no modulus")
             self.modulus = None
-            self._red_rows = None
+            self._fold_rows = None
             return
         # polyring imports Field, so it can only be imported once gf is loaded.
         from .polyring import Poly, find_irreducible, is_irreducible
 
+        fp = Field(p)
         if modulus is None:
-            modulus = find_irreducible(s, Field(p)).coeffs
+            m = find_irreducible(s, fp)
         else:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != s + 1 or modulus[-1] != 1:
                 raise ValueError(f"modulus must be monic of degree {s}")
-            if not is_irreducible(Poly(Field(p), modulus)):
+            m = Poly(fp, modulus)
+            if not is_irreducible(m):
                 raise ValueError("modulus is reducible")
-        self.modulus = modulus
-        # Reduction rows: coordinates of u^k mod modulus for k = s .. 2s-2.
-        rows = {s: tuple((-c) % p for c in modulus[:-1])}
-        for k in range(s + 1, 2 * s - 1):
-            shifted = [0] + list(rows[k - 1])
-            lead = shifted.pop()
-            if lead:
-                base = rows[s]
-                shifted = [(shifted[i] + lead * base[i]) % p for i in range(s)]
-            rows[k] = tuple(shifted)
-        self._red_rows = rows
+        self.modulus = m.coeffs
+        # u^k mod modulus for k = s .. 2s-2: enough to fold any product of
+        # coordinates (see mul).
+        self._fold_rows = [(Poly.monomial(fp, k) % m).coeffs for k in range(s, 2 * s - 1)]
 
     # -- encoding ----------------------------------------------------------
 
     def coords(self, a: int) -> tuple:
         """F_p-coordinates (c_0, ..., c_{s-1}) of the encoded element a."""
         self._check(a)
-        out = []
-        for _ in range(self.s):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
+        cs = digits_of(a, self.p)
+        return tuple(cs + [0] * (self.s - len(cs)))
 
     def from_coords(self, cs) -> int:
         cs = list(cs)
@@ -140,22 +166,9 @@ class Field:
             return a * b % p
         if a == 0 or b == 0:
             return 0
-        ac = self.coords(a)
-        bc = self.coords(b)
-        s = self.s
-        conv = [0] * (2 * s - 1)
-        for i, x in enumerate(ac):
-            if x:
-                for j, y in enumerate(bc):
-                    conv[i + j] += x * y
-        out = [c % p for c in conv[:s]]
-        for k in range(s, 2 * s - 1):
-            c = conv[k] % p
-            if c:
-                row = self._red_rows[k]
-                for i in range(s):
-                    out[i] = (out[i] + c * row[i]) % p
-        return self.from_coords(out)
+        return self.from_coords(
+            mul_fold(self.coords(a), self.coords(b), self.s, self._fold_rows, p)
+        )
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -167,14 +180,7 @@ class Field:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            e >>= 1
-            if e:
-                a = self.mul(a, a)
-        return result
+        return power(a, e, 1, self.mul)
 
     # -- text --------------------------------------------------------------
 
@@ -183,13 +189,13 @@ class Field:
         self._check(a)
         if self.s == 1 or a < self.p:
             return str(a)
-        return _upoly_str(self.coords(a))
+        return terms_str(self.coords(a), "u")
 
     def modulus_str(self):
         """Canonical u-polynomial text of the defining modulus, None for s = 1."""
         if self.modulus is None:
             return None
-        return _upoly_str(self.modulus)
+        return terms_str(self.modulus, "u")
 
     # -- identity ----------------------------------------------------------
 

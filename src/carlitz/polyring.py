@@ -12,10 +12,11 @@ Text form, both for parsing and canonical output:
     coeff := uint | '(' upoly ')' | umono
 
 where upoly is the same grammar over the extension generator u with plain
-integer coefficients and no parentheses.  Whitespace is ignored and integer
-coefficients are taken mod p.  Canonical output lists terms by descending
-power, '+'-separated, elides unit coefficients, and parenthesizes extension
-coefficients ("T^3+2*T", "(u+1)*T+(u)").
+integer coefficients and no parentheses, and umono is its mono: one parser
+reads both, and evaluates u-level coefficients in F_q.  Whitespace is ignored
+and integer coefficients are taken mod p.  Canonical output (gf's terms_str)
+lists terms by descending power, '+'-separated, elides unit coefficients,
+and parenthesizes extension coefficients ("T^3+2*T", "(u+1)*T+(u)").
 
 Over a prime field every product is one Kronecker substitution: both
 coefficient lists are packed into a single Python int, multiplied once
@@ -30,9 +31,11 @@ from __future__ import annotations
 
 import sys
 from array import array
+from operator import mul
 
-from .gf import Field
+from .gf import Field, power, terms_str
 from .intfactor import prime_factors
+from .words import digits_of
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -257,15 +260,7 @@ class Poly:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative polynomial powers are not defined in A")
-        result = Poly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(self, e, Poly.one(self.field), mul)
 
     def __divmod__(self, other):
         self._same_ring(other)
@@ -301,8 +296,6 @@ class Poly:
         p = f.p
         a, b = self.coeffs, other.coeffs
         db = len(b) - 1
-        if db == 0:
-            return self.scale(f.inv(b[0])), Poly.zero(f)
         nq = len(a) - db
         if min(nq, db) < _NEWTON_MIN_LEN:
             # Long division on Python ints, reducing mod p only where read.
@@ -355,12 +348,7 @@ class Poly:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) is an error."""
-    a._same_ring(b)
-    if not a and not b:
-        raise ValueError("gcd(0, 0) is undefined")
-    while b:
-        a, b = b, a % b
-    return a.monic()
+    return poly_xgcd(a, b)[0]
 
 
 def poly_xgcd(a: Poly, b: Poly):
@@ -388,15 +376,7 @@ def poly_powmod(base: Poly, e: int, mod: Poly) -> Poly:
     base._same_ring(mod)
     if not mod:
         raise ZeroDivisionError("powmod modulus is zero")
-    result = Poly.one(base.field) % mod
-    base = base % mod
-    while e:
-        if e & 1:
-            result = result * base % mod
-        e >>= 1
-        if e:
-            base = base * base % mod
-    return result
+    return power(base % mod, e, Poly.one(base.field) % mod, lambda x, y: x * y % mod)
 
 
 # -- irreducibility ----------------------------------------------------------
@@ -427,13 +407,8 @@ def find_irreducible(h: int, field: Field) -> Poly:
         raise ValueError(f"degree must be >= 1, got {h}")
     q = field.q
     for e in range(q**h):
-        coeffs = []
-        v = e
-        for _ in range(h):
-            coeffs.append(v % q)
-            v //= q
-        coeffs.append(1)
-        cand = Poly._mk(field, tuple(coeffs))
+        cs = digits_of(e, q)
+        cand = Poly._mk(field, tuple(cs + [0] * (h - len(cs))) + (1,))
         if is_irreducible(cand):
             return cand
     raise ArithmeticError(f"no monic irreducible of degree {h} over F_{q}")  # unreachable
@@ -471,11 +446,10 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, toks, field, var):
+    def __init__(self, toks, field):
         self.toks = toks
         self.i = 0
         self.field = field
-        self.var = var  # 'T' for ring polynomials, 'u' for modulus text
 
     def peek(self):
         return self.toks[self.i][0] if self.i < len(self.toks) else None
@@ -489,120 +463,83 @@ class _Parser:
         self.i += 1
         return tok
 
-    def parse(self):
-        acc = {}
-        while True:
-            k, c = self.term()
-            if c:
-                f = self.field
-                acc[k] = f.add(acc.get(k, 0), c)
-            if self.peek() != "+":
-                break
-            self.take("+")
+    def parse(self, var):
+        """The whole text as a polynomial in var ('T', or 'u' for modulus text)."""
+        acc = self.terms(var)
         if self.i != len(self.toks):
             raise ParseError(f"trailing input at {self.toks[self.i][1]!r}")
-        if not acc:
-            return Poly.zero(self.field)
-        deg = max(acc)
-        return Poly(self.field, [acc.get(k, 0) for k in range(deg + 1)])
+        return Poly(self.field, [acc.get(k, 0) for k in range(max(acc, default=-1) + 1)])
 
-    def term(self):
-        """One term; returns (power of the main variable, coefficient encoding)."""
+    def terms(self, var):
+        """'+'-separated terms in var, summed into {power: coefficient encoding}."""
+        f = self.field
+        acc = {}
+        while True:
+            k, c = self.term(var)
+            if c:
+                acc[k] = f.add(acc.get(k, 0), c)
+            if self.peek() != "+":
+                return acc
+            self.take("+")
+
+    def term(self, var):
+        """One term; returns (power of var, coefficient encoding)."""
         kind = self.peek()
         if kind is None:
             raise ParseError("empty term")
-        if kind == self.var:
-            return self.mono(), 1
-        coeff = self.coefficient()
+        if kind == var:
+            return self.mono(var), 1
+        coeff = self.coefficient(var)
         if self.peek() == "*":
             self.take("*")
-            return self.mono(), coeff
+            return self.mono(var), coeff
         return 0, coeff
 
-    def mono(self):
-        self.take(self.var)
+    def mono(self, var):
+        self.take(var)
         if self.peek() == "^":
             self.take("^")
             return self.take("int")[1]
         return 1
 
-    def coefficient(self):
+    def coefficient(self, var):
         kind = self.peek()
         f = self.field
         if kind == "int":
             # Plain integers embed as F_p values in any F_q.
             return self.take()[1] % f.p
-        if self.var == "u":
-            raise ParseError(f"expected an integer coefficient, found {kind!r}")
+        if var != "T" or kind not in ("u", "("):
+            raise ParseError(f"expected a coefficient, found {kind!r}")
+        # An F_q coefficient: one u-term, or a u-polynomial in parentheses.
+        start = self.i
         if kind == "u":
-            return self.u_mono()
-        if kind == "(":
+            upoly = {self.mono("u"): 1}
+        else:
             self.take("(")
-            val = self.u_poly()
+            upoly = self.terms("u")
             self.take(")")
-            return val
-        raise ParseError(f"expected a coefficient, found {kind!r}")
-
-    def u_mono(self):
-        f = self.field
-        if f.s == 1:
+        if f.s == 1 and ("u", "u") in self.toks[start : self.i]:
             raise ParseError(f"coefficient outside field: 'u' is not an element of F_{f.p}")
-        self.take("u")
-        k = 1
-        if self.peek() == "^":
-            self.take("^")
-            k = self.take("int")[1]
-        return f.pow(f.from_coords((0, 1)), k)
-
-    def u_poly(self):
-        f = self.field
-        acc = 0
-        while True:
-            kind = self.peek()
-            if kind == "int":
-                c = self.take()[1] % f.p
-                if self.peek() == "*":
-                    self.take("*")
-                    acc = f.add(acc, f.mul(c, self.u_mono()))
-                else:
-                    acc = f.add(acc, c)
-            elif kind == "u":
-                acc = f.add(acc, self.u_mono())
-            else:
-                raise ParseError(f"expected a u-term, found {kind!r}")
-            if self.peek() != "+":
-                return acc
-            self.take("+")
+        val = 0
+        for k, c in upoly.items():
+            if k:  # so s > 1: a prime field has no u
+                c = f.mul(c, f.pow(f.from_coords((0, 1)), k))
+            val = f.add(val, c)
+        return val
 
 
 def parse_poly(text: str, field: Field) -> Poly:
     """Parse ring-polynomial text over the given field."""
-    return _Parser(_tokenize(text), field, "T").parse()
+    return _Parser(_tokenize(text), field).parse("T")
 
 
 def parse_upoly(text: str, p: int) -> tuple:
     """Parse extension-modulus text like 'u^2+u+1' into F_p coefficients
     (little-endian, including the leading one)."""
-    poly = _Parser(_tokenize(text), Field(p), "u").parse()
-    return poly.coeffs
+    return _Parser(_tokenize(text), Field(p)).parse("u").coeffs
 
 
 def format_poly(poly: Poly) -> str:
     f = poly.field
-    if not poly.coeffs:
-        return "0"
-    terms = []
-    for k in range(len(poly.coeffs) - 1, -1, -1):
-        c = poly.coeffs[k]
-        if not c:
-            continue
-        if c < f.p:
-            ctext = str(c)
-        else:
-            ctext = f"({f.element_str(c)})"
-        if k == 0:
-            terms.append(ctext)
-        else:
-            mono = "T" if k == 1 else f"T^{k}"
-            terms.append(mono if c == 1 else f"{ctext}*{mono}")
-    return "+".join(terms)
+    return terms_str(poly.coeffs, "T",
+                     lambda c: str(c) if c < f.p else f"({f.element_str(c)})") or "0"

@@ -6,10 +6,10 @@ below h, kept as a trimmed tuple of field-element encodings.  Its arithmetic
 is polyring's: sums and negatives are Poly arithmetic on the representative,
 a ring element is reduced by `poly % prime`, and over F_q with s > 1 a
 product is `(a * b) % prime`.  Over a prime field a product is instead
-folded back with the rows T^k mod p, k = h .. 2h-2, which is faster on these
-short representatives.  Residues also have a canonical integer encoding
-sum(enc(c_i) * q^i) in [0, q^h), which indexes the discrete-log table and
-keys every cache.
+gf's mul_fold, which folds the schoolbook product back with the rows T^k mod
+p, k = h .. 2h-2, as that is faster on these short representatives.
+Residues also have a canonical integer encoding sum(enc(c_i) * q^i) in
+[0, q^h), which indexes the discrete-log table and keys every cache.
 
 The unit group is cyclic of order q^h - 1.  A ResidueCtx fixes one
 generator ("primitive root"): either a validated caller choice or the first
@@ -20,9 +20,13 @@ full table while the group is small and from baby-step/giant-step beyond.
 
 from __future__ import annotations
 
+from operator import mul
+
+from .gf import mul_fold, power
 from .intfactor import factorize
 from .limits import DLOG_TABLE_LIMIT
 from .polyring import NEG_INF, Poly, is_irreducible, poly_xgcd
+from .words import digits_of
 
 
 class Residue:
@@ -89,16 +93,7 @@ class Residue:
             if e < 0:
                 raise ZeroDivisionError("cannot raise the zero residue to a negative power")
             return ctx.one if e == 0 else ctx.zero
-        e %= ctx.group_order
-        result = ctx.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(self, e % ctx.group_order, ctx.one, mul)
 
     def inverse(self):
         if not self.coeffs:
@@ -169,7 +164,8 @@ class ResidueCtx:
         return all(r ** (self.group_order // ell) != self.one for ell, _ in self.factors)
 
     def _find_primitive_root(self) -> Residue:
-        for e in range(1, self.base):
+        # A constant's order divides q - 1, so for h >= 2 start at T (encoding q).
+        for e in range(1 if self.h == 1 else self.q, self.base):
             cand = self.from_enc(e)
             if self._is_primitive(cand):
                 return cand
@@ -188,12 +184,7 @@ class ResidueCtx:
     def from_enc(self, e: int) -> Residue:
         if not 0 <= e < self.base:
             raise ValueError(f"residue encoding {e} out of range [0, {self.base})")
-        q = self.q
-        coeffs = []
-        while e:
-            coeffs.append(e % q)
-            e //= q
-        return Residue(self, tuple(coeffs))
+        return Residue(self, tuple(digits_of(e, self.q)) if e else ())
 
     def reduce(self, poly: Poly) -> Residue:
         """The residue of an arbitrary ring element."""
@@ -212,21 +203,7 @@ class ResidueCtx:
         # beats Poly * Poly % prime on reps of degree < h: the dlog table does
         # q^h - 1 of these products, and going through polyring made building
         # ResidueCtx(T^15+T+1) about twice as slow.
-        h = self.h
-        p = f.p
-        out = [0] * (len(ac) + len(bc) - 1)
-        for i, x in enumerate(ac):
-            if x:
-                for j, y in enumerate(bc):
-                    out[i + j] += x * y
-        for k in range(len(out) - 1, h - 1, -1):
-            c = out[k] % p
-            out[k] = 0
-            if c:
-                row = self._fold_rows[k - h]
-                for i, rc in enumerate(row):
-                    out[i] += c * rc
-        res = [c % p for c in out[:h]]
+        res = mul_fold(ac, bc, self.h, self._fold_rows, f.p)
         while res and res[-1] == 0:
             res.pop()
         return tuple(res)

@@ -320,6 +320,14 @@ def test_primroot_command(capsys):
     assert code == 2
 
 
+def test_primroot_large_characteristic(capsys):
+    # Over F_(2^61-1) the search skips the q - 1 constants and reaches T+6 at once.
+    code, out, err = run(
+        ["primroot", "-p", "2305843009213693951", "--prime-degree", "2"], capsys
+    )
+    assert (code, out, err) == (0, "T+6\n", "")
+
+
 def test_irreducible_command(capsys):
     code, out, _ = run(["irreducible", "-p", "3", "--poly", "T^2+1"], capsys)
     assert code == 0 and out == "true\n"

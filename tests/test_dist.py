@@ -49,6 +49,27 @@ def test_countpoly_cyclic_wraparound():
     assert x7 * x7 == CountPoly.from_terms({6: 1}, 8)
 
 
+def test_countpoly_pow_skips_the_last_squaring(monkeypatch):
+    f = CountPoly.from_terms({0: 2, 3: 1, 6: 2}, 8)
+    fourth = f * f * f * f
+    products = []
+    mul = CountPoly.__mul__
+
+    def counting_mul(self, other):
+        products.append(self is other)
+        return mul(self, other)
+
+    monkeypatch.setattr(CountPoly, "__mul__", counting_mul)
+    assert f**0 == CountPoly.one(8) and products == []
+    assert f**1 == f
+    assert products == [False]  # no squaring after the exponent's last bit
+    products.clear()
+    assert f**4 == fourth
+    assert products.count(True) == 2
+    with pytest.raises(ValueError):
+        f**-1
+
+
 def test_countpoly_golden_product():
     # 9 * (2 + 2x^6)(4 + x^6) = 72 + 18x^4 + 90x^6 in Z[x]/(x^8 - 1)
     g2 = CountPoly.from_terms({0: 3}, 8)

@@ -262,8 +262,45 @@ def test_parse_errors(f3, f4):
 def test_parse_upoly():
     assert parse_upoly("u^2+u+1", 2) == (1, 1, 1)
     assert parse_upoly("u^2+1", 3) == (1, 0, 1)
-    with pytest.raises(ParseError):
-        parse_upoly("T+1", 3)
+    assert parse_upoly("u^2+2*u+1", 3) == (1, 2, 1)
+    for bad in ["T+1", "(u)"]:
+        with pytest.raises(ParseError):
+            parse_upoly(bad, 3)
+
+
+# Where the grammar accepts or rejects at the T and the u level: the expected
+# coefficient tuple, or None for a ParseError.
+GRAMMAR_CASES = [
+    ((3, 1), "(2)*T", (0, 2)),
+    ((3, 1), "T^2+T^2", (0, 0, 2)),
+    ((3, 1), "T+T+T", ()),
+    ((3, 1), "u*T", None),
+    ((3, 1), "u^0*T", None),
+    ((3, 1), "(u^0)*T", None),
+    ((3, 1), "(u)", None),
+    ((3, 1), "(2+1)*T+(u+2*u)", None),
+    ((2, 2), "(u^2)*T", (0, 3)),
+    ((2, 2), "u^3*T", (0, 1)),
+    ((2, 2), "(u+u)*T+1", (1,)),
+    ((2, 2), "(u+1)*T^0", (3,)),
+    ((2, 2), "u+T", (2, 1)),
+    ((2, 2), "2*u*T", None),
+    ((2, 2), "(u*T)", None),
+    ((2, 2), "((u))", None),
+    ((2, 2), "(u+1*T", None),
+    ((2, 2), "u*u", None),
+    ((2, 2), "()", None),
+]
+
+
+@pytest.mark.parametrize("ps,text,coeffs", GRAMMAR_CASES)
+def test_grammar_pinned(ps, text, coeffs):
+    field = Field(*ps)
+    if coeffs is None:
+        with pytest.raises(ParseError):
+            parse_poly(text, field)
+    else:
+        assert parse_poly(text, field).coeffs == coeffs
 
 
 # -- the Kronecker kernel and Newton division (prime fields) -------------------

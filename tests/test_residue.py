@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from carlitz import Field, Poly, ResidueCtx, find_irreducible, parse_poly
+from carlitz import Field, Poly, Residue, ResidueCtx, find_irreducible, parse_poly
 from carlitz.intfactor import factorize, is_prime
 
 
@@ -64,6 +64,28 @@ def test_primitive_root_goldens(f2, f3):
     assert str(ResidueCtx(parse_poly("T+1", f3)).primitive_root) == "2"
     assert str(ResidueCtx(parse_poly("T^2+T+1", f2)).primitive_root) == "T"
     assert str(ResidueCtx(parse_poly("T", f2)).primitive_root) == "1"
+
+
+def test_primitive_root_search_skips_constants(f2, f3, f4, monkeypatch):
+    # For h >= 2 a constant's order divides q - 1, so none is ever tried.
+    tried = []
+    is_primitive = ResidueCtx._is_primitive
+
+    def recording(self, r):
+        tried.append(r)
+        return is_primitive(self, r)
+
+    monkeypatch.setattr(ResidueCtx, "_is_primitive", recording)
+    for prime_text, field, root in [("T^2+1", f3, "T+1"), ("T^3+T+1", f2, "T"),
+                                    ("T^2+T+(u)", f4, "T")]:
+        tried.clear()
+        ctx = ResidueCtx(parse_poly(prime_text, field))
+        assert str(ctx.primitive_root) == root
+        assert tried and all(r.rep.degree >= 1 for r in tried)
+    # h = 1: the units are the constants, and the search still starts at 1.
+    tried.clear()
+    assert str(ResidueCtx(parse_poly("T+1", f3)).primitive_root) == "2"
+    assert [str(r) for r in tried] == ["1", "2"]
 
 
 def test_determinism(f3):
@@ -190,6 +212,34 @@ def test_pow_negative_and_reduction(ctx9):
     assert (ctx9.zero**5).is_zero()
     with pytest.raises(ZeroDivisionError):
         ctx9.zero**-1
+
+
+def test_pow_skips_the_last_squaring(ctx9, monkeypatch):
+    g = ctx9.primitive_root
+    fourth = g * g * g * g
+    inv3 = (g * g * g).inverse()
+    products = []
+    mul = Residue.__mul__
+
+    def counting_mul(self, other):
+        products.append(self is other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Residue, "__mul__", counting_mul)
+    assert g**1 == g
+    assert products == [False]  # no squaring after the exponent's last bit
+    products.clear()
+    assert g**4 == fourth
+    assert products.count(True) == 2
+    products.clear()
+    assert g**16 == ctx9.one  # 16 = 0 mod the group order 8: no products
+    assert products == []
+    assert g**-3 == inv3
+    products.clear()
+    assert ctx9.zero**0 == ctx9.one and ctx9.zero**4 == ctx9.zero
+    assert products == []
+    with pytest.raises(ZeroDivisionError):
+        ctx9.zero**-2
 
 
 def test_label_periodicity(ctx9):
