@@ -9,18 +9,21 @@ is again an element of A.  binom_exact computes it by honest polynomial
 division (a nonzero remainder is an internal error); factorial degrees grow
 fast, so the exact routines take a degree guardrail.
 
-With [k] = T^(q^k) - T, so that D_i = [i] * D_{i-1}^q, the binomial is also
+With [k] = T^(q^k) - T, so that D_i = [i] * D_{i-1}^q = [i] * D_{i-1}(T^q)
+(F_q coefficients are fixed by Frobenius), the binomial is also
 the product of [k] over the positions k that receive a carry when m and
 n - m are added in base q (Kummer's theorem for F_q[T]; Thakur, Function
 Field Arithmetic, 2004).  Modulo a prime p of degree h, [k] = [k mod h] and
 [0] = 0: the binomial vanishes once a carry lands on a multiple of h, and
 is otherwise a product of the units [1] .. [h-1] mod p.  DigitBinomCache
-holds those, and the D_i mod p for i < h.
+holds those and the D_i mod p for i < h and, once asked, the discrete logs
+of the brackets, from which binom_logs classifies every binom(n, m)_C,
+m <= n, by its carries alone.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .gf import Field
 from .limits import DEFAULT_EXACT_DEGREE_LIMIT, GuardrailError
@@ -31,7 +34,7 @@ from .words import digits_of
 
 @lru_cache(maxsize=64)
 def d_poly(i: int, field: Field, degree_limit: int = DEFAULT_EXACT_DEGREE_LIMIT) -> Poly:
-    """The exact polynomial D_i."""
+    """The exact polynomial D_i = [i] * D_{i-1}(T^q)."""
     if i < 0:
         raise ValueError("D_i needs i >= 0")
     if i == 0:
@@ -42,12 +45,11 @@ def d_poly(i: int, field: Field, degree_limit: int = DEFAULT_EXACT_DEGREE_LIMIT)
         raise GuardrailError(
             f"deg D_{i} = {deg} exceeds the exact-degree limit {degree_limit}"
         )
-    acc = Poly.one(field)
-    qi = q**i
-    for r in range(i):
-        # acc *= T^(q^i) - T^(q^r); both factors are monomials, so shift.
-        acc = acc.shift(qi) - acc.shift(q**r)
-    return acc
+    prev = d_poly(i - 1, field, degree_limit).coeffs
+    cs = [0] * ((len(prev) - 1) * q + 1)
+    cs[::q] = prev
+    spread = Poly._mk(field, tuple(cs))  # D_{i-1}(T^q)
+    return spread.shift(q**i) - spread.shift(1)
 
 
 def factorial_exact(n: int, field: Field,
@@ -116,6 +118,44 @@ class DigitBinomCache:
             d_mod.append(brackets[-1] * d_mod[-1] ** q)
         self.brackets = tuple(brackets)
         self.d_mod = tuple(d_mod)
+
+    @cached_property
+    def bracket_logs(self) -> tuple:
+        """dlog [k] for 0 < k < h, after None for [0] = 0.  Taken on first
+        use, so binom and factorial need no discrete log."""
+        return (None,) + tuple(self.ctx.dlog(b) for b in self.brackets[1:])
+
+    def binom_logs(self, n: int):
+        """Yield, for m = 0 .. n, the discrete log of binom(n, m)_C mod the
+        prime, or None where that binomial is 0.
+
+        Position k >= 1 receives a carry in m + (n - m) exactly when
+        m mod q^k > n mod q^k.  The binomial is 0 once such a k is a multiple
+        of h, and otherwise its log is the sum of dlog [k mod h] over them.
+        """
+        if n < 0:
+            raise ValueError("binomial indices must be nonnegative")
+        ctx = self.ctx
+        q, h, order = ctx.q, ctx.h, ctx.group_order
+        # (q^k, n mod q^k, dlog [k mod h]) for every k a carry can reach,
+        # the k = 0 mod h first: a carry there settles m as None.
+        positions = []
+        k, qk = 1, q
+        while qk <= n:
+            positions.append((qk, n % qk, self.bracket_logs[k % h]))
+            k += 1
+            qk *= q
+        positions.sort(key=lambda pos: pos[2] is not None)
+        for m in range(n + 1):
+            s = 0
+            for qk, r, lam in positions:
+                if m % qk > r:
+                    if lam is None:
+                        yield None
+                        break
+                    s += lam
+            else:
+                yield s % order
 
     def digit_binom(self, a: int, b: int) -> Residue:
         """binom(a, b)_C mod the prime for single base-q^h digits a, b."""

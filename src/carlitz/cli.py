@@ -187,8 +187,7 @@ def _cmd_check(args, out):
     table = BaseTable(ctx, cache)
     for n in range(args.max_n + 1):
         fast = gn_fast(n, ctx, cache, table)
-        brute = distribution(n, ctx, cache, method="brute", table=table,
-                             limit=args.enum_limit)
+        brute = distribution(n, ctx, cache, method="brute", limit=args.enum_limit)
         if fast != brute.counts:
             print(f"MISMATCH at n = {n}", file=out)
             print(f"  fast : {fast}", file=out)

@@ -6,13 +6,14 @@ digit d in the base-q^h expansion of n (c_0(0) = 1), then
 
     G_n(x) = sum_j eps_j(n) x^j = prod_d G_d(x)^(c_d(n))   in Z[x]/(x^L - 1).
 
-G_d is the histogram of the row of logs of binom(d, m)_C, m <= d; each log
-is a sum of the logs of [1] .. [h-1] over the base-q carries of m + (d - m)
-(see binom.py).  Only the distinct digits of n are built, so G_n for huge n
-costs a handful of cyclic multiplications (naive convolution with exact
-bigint coefficients).  gn_fast implements that product; distribution_brute
-classifies every m in [0, n] by its own digits from the same rows, so it
-checks the product; distribution wraps both behind a method switch.
+G_d is the histogram of the row of logs of binom(d, m)_C, m <= d.  Only the
+distinct digits of n are built, so G_n for huge n costs a handful of cyclic
+multiplications (naive convolution with exact bigint coefficients).  gn_fast
+implements that product.  distribution_brute instead classifies every m in
+[0, n] by the base-q carries of m + (n - m) across the whole of n
+(DigitBinomCache.binom_logs) and never splits n into base-q^h digits, so
+checking one against the other tests the digit-product identity itself.
+distribution wraps both behind a method switch.
 
 Binomials that are = 0 mod p belong to no class; their count is
 n + 1 - G_n(1) and is reported separately.
@@ -24,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from operator import mul
 
-from .binom import DigitBinomCache, _carries
+from .binom import DigitBinomCache
 from .gf import Field, power
 from .limits import DEFAULT_ENUM_LIMIT, GuardrailError
 from .polyring import parse_poly, parse_upoly
@@ -127,25 +128,19 @@ class BaseTable:
         if cache.ctx is not ctx and cache.ctx.key != ctx.key:
             raise ValueError("cache belongs to a different ring")
         self.ctx = ctx
-        # logs[k] = dlog [k] for 0 < k < h; single digits never carry into h.
-        self._logs = (0,) + tuple(ctx.dlog(b) for b in cache.brackets[1:])
+        self.cache = cache
         self._rows: dict[int, tuple] = {}
         self._gpolys: dict[int, CountPoly] = {}
 
     def row(self, d: int) -> tuple:
         """Discrete logs of binom(d, m)_C mod p for m = 0 .. d.
 
-        Single-digit binomials with m <= d are always units, so every entry
-        is a genuine exponent: the sum of the logs of [k] over the carries
-        of m + (d - m).
+        A single digit's carries stay below position h, so every entry is a
+        genuine exponent, never None.
         """
         hit = self._rows.get(d)
         if hit is None:
-            q = self.ctx.q
-            order = self.ctx.group_order
-            logs = self._logs
-            hit = self._rows[d] = tuple(sum(logs[k] for k in _carries(m, d - m, q)) % order
-                                        for m in range(d + 1))
+            hit = self._rows[d] = tuple(self.cache.binom_logs(d))
         return hit
 
     def gpoly(self, d: int) -> CountPoly:
@@ -220,60 +215,19 @@ def distribution_brute(n: int, ctx: ResidueCtx, cache: DigitBinomCache,
                        table: BaseTable | None = None) -> Distribution:
     """Classify every m in [0, n] one by one; the linear-time oracle.
 
-    Walks m as a base-q^h odometer, keeping the digitwise discrete-log sum
-    of binom(n, m)_C up to date, so no product identity is involved: each m
-    is judged only by its own digits against the digits of n.
+    Each m is judged by the base-q carries of m + (n - m) over the whole of
+    n, so no digit row and no product identity is involved.  `table` stays
+    in the signature for existing callers and is not read: reading the fast
+    path's rows would make this no oracle for them.
     """
     if n < 0:
         raise ValueError("distributions need n >= 0")
     if n > limit:
         raise GuardrailError(f"brute scan of n = {n} exceeds the enumeration limit {limit}")
-    if table is None:
-        table = BaseTable(ctx, cache)
-    base = ctx.base
-    order = ctx.group_order
-    ndigits = digits_of(n, base)
-    # rows[i][v]: dlog of binom(n_i, v)_C, or None where v > n_i (zero class).
-    rows = []
-    for d in ndigits:
-        rows.append(list(table.row(d)) + [None] * (base - 1 - d))
-    npos = len(ndigits)
-    counts = [0] * order
-    zero_count = 0
-    cur = [0] * npos
-    contrib = [0] * npos  # rows[i][0] is always dlog(1) = 0
-    tot = 0
-    bad = 0
-    m = 0
-    while True:
-        if bad:
-            zero_count += 1
-        else:
-            counts[tot % order] += 1
-        if m == n:
-            break
-        m += 1
-        i = 0
-        while True:
-            v = cur[i] + 1
-            if v == base:
-                v = 0
-            old = contrib[i]
-            new = rows[i][v]
-            cur[i] = v
-            contrib[i] = new
-            if old is None:
-                bad -= 1
-            else:
-                tot -= old
-            if new is None:
-                bad += 1
-            else:
-                tot += new
-            if v:
-                break
-            i += 1
-    return Distribution(n=n, method="brute", counts=CountPoly(counts),
+    hist = Counter(cache.binom_logs(n))
+    zero_count = hist.pop(None, 0)
+    return Distribution(n=n, method="brute",
+                        counts=CountPoly.from_terms(hist, ctx.group_order),
                         zero_count=zero_count, ctx=ctx)
 
 
@@ -286,7 +240,7 @@ def distribution(n: int, ctx: ResidueCtx, cache: DigitBinomCache,
         return Distribution(n=n, method="fast", counts=counts,
                             zero_count=n + 1 - counts.eval_one(), ctx=ctx)
     if method == "brute":
-        return distribution_brute(n, ctx, cache, limit=limit, table=table)
+        return distribution_brute(n, ctx, cache, limit=limit)
     raise ValueError(f"unknown method {method!r} (expected 'fast' or 'brute')")
 
 

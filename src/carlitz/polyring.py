@@ -35,6 +35,7 @@ from operator import mul
 
 from .gf import Field, power, terms_str
 from .intfactor import prime_factors
+from .limits import DEFAULT_EXACT_DEGREE_LIMIT, GuardrailError
 from .words import digits_of
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
@@ -468,7 +469,11 @@ class _Parser:
         acc = self.terms(var)
         if self.i != len(self.toks):
             raise ParseError(f"trailing input at {self.toks[self.i][1]!r}")
-        return Poly(self.field, [acc.get(k, 0) for k in range(max(acc, default=-1) + 1)])
+        top = max(acc, default=-1)
+        if top > DEFAULT_EXACT_DEGREE_LIMIT:
+            raise GuardrailError(f"degree {top} exceeds the exact-degree limit "
+                                 f"{DEFAULT_EXACT_DEGREE_LIMIT}")
+        return Poly(self.field, [acc.get(k, 0) for k in range(top + 1)])
 
     def terms(self, var):
         """'+'-separated terms in var, summed into {power: coefficient encoding}."""

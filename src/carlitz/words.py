@@ -13,7 +13,7 @@ lowest digits, window(u, r, s) keeps digit positions s .. s+r.
 
 class_set(w, j) collects the lower indices u <= z(w) whose binomial
 binom(z(w), u)_C lands in the unit class primitive_root^j mod the prime,
-by direct scan; it is deliberately simple, the bulk counting lives in dist.
+by one scan of their carry logs; the bulk counting lives in dist.
 """
 
 from __future__ import annotations
@@ -107,7 +107,9 @@ def class_set(word: Word, j: int, cache: DigitBinomCache,
     """All u in [0, z(word)] with binom(z(word), u)_C in class root^j mod p.
 
     j may be any integer; it is reduced mod q^h - 1.  Zero binomials belong
-    to no class.
+    to no class.  Each log is read off the carries of u + (z - u)
+    (DigitBinomCache.binom_logs), so the scan takes no discrete log beyond
+    the h - 1 logs of the brackets [1] .. [h-1].
     """
     ctx = cache.ctx
     if word.base != ctx.base:
@@ -116,9 +118,4 @@ def class_set(word: Word, j: int, cache: DigitBinomCache,
     if z > limit:
         raise GuardrailError(f"class-set scan of z = {z} exceeds the limit {limit}")
     j %= ctx.group_order
-    out = set()
-    for u in range(z + 1):
-        b = cache.binom(z, u)
-        if b and ctx.dlog(b) == j:
-            out.add(u)
-    return out
+    return {u for u, log in enumerate(cache.binom_logs(z)) if log == j}

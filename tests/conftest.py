@@ -53,3 +53,12 @@ def small_rings(f2, f3, f4):
         ctx = ResidueCtx(parse_poly(prime_text, field))
         out.append((ctx, DigitBinomCache(ctx)))
     return out
+
+
+@pytest.fixture
+def dlog_calls(monkeypatch):
+    """The residues passed to ResidueCtx.dlog from here on, in call order."""
+    calls = []
+    real = ResidueCtx.dlog
+    monkeypatch.setattr(ResidueCtx, "dlog", lambda self, r: calls.append(r) or real(self, r))
+    return calls

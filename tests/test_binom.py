@@ -40,6 +40,20 @@ def test_d_poly_against_definition(f3, f2, f4):
                 assert d_poly(i, field).is_monic()
 
 
+def test_d_poly_bracket_recursion(f2, f3, f4, f9):
+    # Reference: the product definition, one subtraction of shifts per factor.
+    def by_product(i, field):
+        q = field.q
+        acc = Poly.one(field)
+        for r in range(i):
+            acc = acc.shift(q**i) - acc.shift(q**r)
+        return acc
+
+    for field in (f2, f3, Field(5), f4, f9):
+        for i in range(6):
+            assert d_poly(i, field) == by_product(i, field), (field.q, i)
+
+
 def test_d_poly_recurrence(f3):
     # D_{i+1} = (T^(q^(i+1)) - T) * D_i^q
     q = 3
@@ -209,6 +223,29 @@ def test_binom_mod_zero_iff_digit_exceeds(ctx9, cache9):
                 nn //= 9
                 mm //= 9
             assert cache9.binom(n, m).is_zero() == exceeded
+
+
+def test_binom_logs_match_binom(small_rings, f2):
+    # The carry scan against cache.binom (carries by base-q addition) and a
+    # discrete log per residue, including n past q^h and a wide h = 7 ring.
+    rings = list(small_rings)
+    ctx = ResidueCtx(parse_poly("T^7+T+1", f2))
+    rings.append((ctx, DigitBinomCache(ctx)))
+    for ctx, cache in rings:
+        for n in list(range(60)) + [200, 257]:
+            expect = [ctx.dlog(b) if b else None
+                      for b in (cache.binom(n, m) for m in range(n + 1))]
+            assert list(cache.binom_logs(n)) == expect, (ctx.prime, n)
+
+
+def test_binom_logs_take_no_dlog_until_asked(ctx9, dlog_calls):
+    cache = DigitBinomCache(ctx9)
+    cache.binom(1811, 700)
+    cache.factorial(5)
+    assert dlog_calls == []
+    list(cache.binom_logs(1811))
+    list(cache.binom_logs(1812))
+    assert len(dlog_calls) == ctx9.h - 1
 
 
 def test_binom_mod_errors(cache9):

@@ -261,7 +261,7 @@ def test_argparse_usage_exit():
 
 def test_check_mismatch_exits_1(capsys, monkeypatch):
     # A wrong G_3 reaches the fast product only; check's brute scan reads the
-    # digit rows directly, so it flags the first n that uses the digit 3.
+    # base-q carries of each n, so it flags the first n that uses the digit 3.
     good = BaseTable.gpoly
 
     def bad_gpoly(self, d):
@@ -276,6 +276,28 @@ def test_check_mismatch_exits_1(capsys, monkeypatch):
     assert code == 1
     assert "MISMATCH at n = 3" in out
     assert "fast : 2 + 2x^2" in out
+    assert "brute: 2 + 2x^6" in out
+
+
+def test_check_catches_a_bad_digit_row(capsys, monkeypatch):
+    # One wrong entry in the row of the digit 3 reaches G_3 and so the fast
+    # product; the brute scan reads no row, so check flags n = 3.  (Swapping
+    # two entries of a row would leave its histogram, and every census, as is.)
+    good = BaseTable.row
+
+    def bad_row(self, d):
+        row = good(self, d)
+        return (row[0],) + row[:1] + row[2:] if d == 3 else row
+
+    monkeypatch.setattr(BaseTable, "row", bad_row)
+    code, out, _ = run(
+        ["check", "-p", "3", "--prime", "T^2+1", "--primitive-root", "T+1",
+         "--max-n", "10"],
+        capsys,
+    )
+    assert code == 1
+    assert "MISMATCH at n = 3" in out
+    assert "fast : 3 + x^6" in out
     assert "brute: 2 + 2x^6" in out
 
 
@@ -337,6 +359,14 @@ def test_irreducible_command(capsys):
     assert code == 0 and out == "T^2+1\n"
     assert run(["irreducible", "-p", "3"], capsys)[0] == 2
     assert run(["irreducible", "-p", "3", "--poly", "T", "--degree", "1"], capsys)[0] == 2
+
+
+def test_irreducible_degree_guardrail(capsys):
+    # The parser refuses the degree before the Rabin test would run on it.
+    code, out, err = run(["irreducible", "-p", "2", "--poly", "T^1000001+T+1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "exceeds the exact-degree limit" in err
 
 
 def test_irreducible_large_prime(capsys):

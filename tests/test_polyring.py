@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from carlitz import Field, NEG_INF, ParseError
+from carlitz import Field, GuardrailError, NEG_INF, ParseError
 from carlitz.polyring import (
     Poly,
     find_irreducible,
@@ -257,6 +257,15 @@ def test_parse_errors(f3, f4):
         parse_poly("u*T", f3)  # no generator u in a prime field
     with pytest.raises(ParseError):
         parse_poly("(u)*T", f3)
+
+
+def test_parse_degree_guardrail(f2):
+    # Refused before the dense coefficient list is built.
+    with pytest.raises(GuardrailError):
+        parse_poly("T^1000001", f2)
+    with pytest.raises(GuardrailError):
+        parse_upoly("u^1000001+u+1", 2)
+    assert parse_poly("T^1000000", f2).degree == 10**6
 
 
 def test_parse_upoly():

@@ -3,13 +3,16 @@ import random
 import pytest
 
 from carlitz import (
+    DigitBinomCache,
     GuardrailError,
+    ResidueCtx,
     Word,
     binom_exact,
     class_set,
     digits_of,
     nat_tail,
     nat_window,
+    parse_poly,
 )
 
 
@@ -153,6 +156,30 @@ def test_class_set_against_exact(ctx9, cache9):
             if b and ctx9.dlog(b) == j:
                 expect.add(u)
         assert class_set(w, j, cache9) == expect
+
+
+def test_class_set_takes_only_bracket_dlogs(ctx9, dlog_calls):
+    # Every log is a sum of bracket logs over the carries: h - 1 dlogs in all.
+    cache = DigitBinomCache(ctx9)
+    assert class_set(Word.from_int(30, 9), 6, cache) == {1, 2, 9, 12, 18, 21, 28, 29}
+    class_set(Word.from_int(1811, 9), 0, cache)
+    assert len(dlog_calls) == ctx9.h - 1
+
+
+def test_class_set_table_free(f2, dlog_calls):
+    # On T^15+T+1, baby-step/giant-step bracket logs give the table's sets.
+    prime = parse_poly("T^15+T+1", f2)
+    table = ResidueCtx(prime)
+    bsgs = ResidueCtx(prime, primitive_root=table.primitive_root.rep, dlog_table_limit=0)
+    z = 2**15 + 300
+    w = Word.from_int(z, 2**15)
+    cache = DigitBinomCache(table)
+    js = {table.dlog(cache.binom(z, u)) for u in (1, 2, 3, 299)}
+    for j in js:
+        dlog_calls.clear()
+        got = class_set(w, j, DigitBinomCache(bsgs))
+        assert len(dlog_calls) == 14
+        assert got and got == class_set(w, j, cache)
 
 
 def test_class_set_guardrail(cache9):
