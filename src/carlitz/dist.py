@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate, repeat
 from operator import mul
 
 from .binom import DigitBinomCache
@@ -193,7 +194,11 @@ class Distribution:
 
     @property
     def residue_labels(self) -> list[str]:
-        return [self.ctx.label(j) for j in range(self.ctx.group_order)]
+        """Labels of root^0 .. root^(q^h - 2), one walk over the powers."""
+        ctx = self.ctx
+        powers = accumulate(repeat(ctx.primitive_root, ctx.group_order - 1), mul,
+                            initial=ctx.one)
+        return [str(r) for r in powers]
 
     def nonzero_items(self) -> list[tuple[int, int]]:
         """(exponent, count) pairs for the classes that actually occur."""

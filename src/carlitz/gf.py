@@ -14,7 +14,8 @@ search and the check of a supplied modulus are polyring's
 find_irreducible and Rabin test over the prime field F_p, so F_p[u] has
 no polynomial arithmetic of its own here.  As the bottom of the tower F_q,
 F_q[T], A/p, gf also holds what every level shares: the square-and-multiply
-`power`, the fold `mul_fold` and the term printer `terms_str`.
+`power`, the fold by reduction rows `fold` (with `mul_fold`, a schoolbook
+product folded by it) and the term printer `terms_str`.
 """
 
 from __future__ import annotations
@@ -44,13 +45,24 @@ def mul_fold(a, b, n, rows, p):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
+    # Reduced first, the terms to fold stay small and are often zero.
+    out[n:] = [c % p for c in out[n:]]
+    return [c % p for c in fold(out, n, rows)]
+
+
+def fold(out, n, rows):
+    """out[:n] plus out[n+k] * rows[k] for every k: sum out[k] * x^k mod m
+    over the integers, for m monic of degree n, rows[k] = x^(n+k) mod m and
+    len(out) <= 2n - 1.  Being linear, it folds integers that pack many
+    coefficients as well as single ones."""
+    res = out[:n]
     # Each row has degree < n, so folding one never feeds a higher one.
     for k in range(n, len(out)):
-        c = out[k] % p
+        c = out[k]
         if c:
             for i, rc in enumerate(rows[k - n]):
-                out[i] += c * rc
-    return [c % p for c in out[:n]]
+                res[i] += c * rc
+    return res
 
 
 def terms_str(cs, var, coeff_str=str) -> str:
@@ -118,10 +130,7 @@ class Field:
         cs = list(cs)
         if len(cs) > self.s:
             raise ValueError(f"too many coordinates for F_{self.q}")
-        e = 0
-        for i, c in enumerate(cs):
-            e += (int(c) % self.p) * self.p**i
-        return e
+        return sum(int(c) % self.p * self.p**i for i, c in enumerate(cs))
 
     def _check(self, a):
         if not isinstance(a, int) or not 0 <= a < self.q:
@@ -133,32 +142,24 @@ class Field:
     # -- arithmetic --------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.s == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        mul = 1
-        while a or b:
-            out += ((a + b) % p) * mul
-            a //= p
-            b //= p
-            mul *= p
-        return out
+        return self._lincomb((a,), (b,), 1)[0]
 
     def neg(self, a: int) -> int:
-        if self.s == 1:
-            return -a % self.p
-        p = self.p
-        out = 0
-        mul = 1
-        while a:
-            out += (-a % p) * mul
-            a //= p
-            mul *= p
-        return out
+        return self._lincomb((0,), (a,), -1)[0]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._lincomb((a,), (b,), -1)[0]
+
+    def _lincomb(self, xs, ys, sign):
+        """[x + sign * y] for the pairs of xs and ys (to the shorter length),
+        one base-p coordinate at a time; sign is 1 or -1."""
+        p = self.p
+        if self.s == 1:
+            return [(x + sign * y) % p for x, y in zip(xs, ys)]
+        out = [0] * min(len(xs), len(ys))
+        for pj in reversed([p**j for j in range(self.s)]):  # top coordinate first
+            out = [e * p + (x // pj + sign * (y // pj)) % p for e, x, y in zip(out, xs, ys)]
+        return out
 
     def mul(self, a: int, b: int) -> int:
         p = self.p
@@ -173,7 +174,7 @@ class Field:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in F_{self.q}")
-        if self.s == 1:
+        if a < self.p:  # an element of the prime field, as in every F_p
             return pow(a, self.p - 2, self.p)
         return self.pow(a, self.q - 2)
 

@@ -18,13 +18,18 @@ and integer coefficients are taken mod p.  Canonical output (gf's terms_str)
 lists terms by descending power, '+'-separated, elides unit coefficients,
 and parenthesizes extension coefficients ("T^3+2*T", "(u+1)*T+(u)").
 
-Over a prime field every product is one Kronecker substitution: both
-coefficient lists are packed into a single Python int, multiplied once
-(CPython's Karatsuba does the convolution) and unpacked (Harvey, "Faster
-polynomial multiplication via multipoint Kronecker substitution", J. Symb.
-Comput. 2009).  Large divisions take the quotient from a Newton inverse of
-the reversed divisor, so they are a few such products too.  Coefficients
-stay Python ints throughout, so any prime p works.
+Every product is one Kronecker substitution: both coefficient lists are
+packed into a single Python int, multiplied once (CPython's Karatsuba does
+the convolution) and unpacked (Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", J. Symb. Comput. 2009).  Over F_q with
+q = p^s, s > 1, the substitution has two variables (von zur Gathen and
+Gerhard, Modern Computer Algebra, section 8.4): each coefficient spreads its
+s base-p coordinates over a block of 2s - 1 slots, and the u^s .. u^(2s-2)
+slots of the product are folded back by the field's reduction rows.  Short
+divisions over F_p are schoolbook on Python ints; every other division takes
+the quotient from a Newton inverse of the reversed divisor, so it is a few
+such products too.  Coefficients stay Python ints throughout, so any prime
+p works.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import sys
 from array import array
 from operator import mul
 
-from .gf import Field, power, terms_str
+from .gf import Field, fold, power, terms_str
 from .intfactor import prime_factors
 from .limits import DEFAULT_EXACT_DEGREE_LIMIT, GuardrailError
 from .words import digits_of
@@ -43,13 +48,14 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 # array typecodes by item size: slots of 1, 2, 4 or 8 bytes pack in C.
 _ARRAY_CODES = {array(t).itemsize: t for t in "BHIQ"}
 
-# Division switches from schoolbook to the Newton quotient once both the
-# quotient and the divisor have at least this many coefficients.  Schoolbook
-# is one Python-level step per quotient coefficient, each as long as the
-# divisor; Newton is about 2 log2(len q) kernel products, whose fixed cost
-# only pays off once both are long.  Timed over F_2, F_3 and F_7, the two
-# break even near 32-48 coefficients; the wide slots of p > 2^32 pack in
-# Python and break even later.
+# Over F_p, division switches from schoolbook to the Newton quotient once
+# both the quotient and the divisor have at least this many coefficients.
+# Schoolbook is one Python-level step per quotient coefficient, each as long
+# as the divisor; Newton is about 2 log2(len q) kernel products, whose fixed
+# cost only pays off once both are long.  Timed over F_2, F_3 and F_7, the
+# two break even near 32-48 coefficients; the wide slots of p > 2^32 pack in
+# Python and break even later.  Over F_q with s > 1 a schoolbook step would
+# be Field arithmetic per coefficient, so every division there is Newton.
 _NEWTON_MIN_LEN = 48
 
 
@@ -72,33 +78,56 @@ def _unpack(x, n, w):
     raw = x.to_bytes(n * w, sys.byteorder)
     code = _ARRAY_CODES.get(w)
     if code:
-        out = array(code)
-        out.frombytes(raw)
-        return out
+        return array(code, raw)
     return [int.from_bytes(raw[i : i + w], sys.byteorder) for i in range(0, len(raw), w)]
 
 
-def _kmul(a, b, p):
-    """Coefficients of a * b over F_p, all len(a) + len(b) - 1 of them, for
-    nonempty coefficient sequences a and b (zeros anywhere are allowed)."""
-    # Every coefficient of the integer product is at most this, so no slot
+def _spread(cs, p, s):
+    """Each F_q element of cs as its s base-p coordinates, then s - 1 zeros."""
+    if s == 1:
+        return cs
+    t = 2 * s - 1
+    out = [0] * (len(cs) * t)
+    for j in range(s):
+        pj = p**j
+        out[j::t] = [c // pj % p for c in cs]
+    return out
+
+
+def _kmul(a, b, field):
+    """Coefficients of a * b over F_q, all len(a) + len(b) - 1 of them, for
+    nonempty coefficient sequences a and b (zeros anywhere are allowed).
+    Each coefficient takes a block of 2s - 1 slots (see the module doc)."""
+    p, s = field.p, field.s
+    n, t = len(a) + len(b) - 1, 2 * s - 1
+    # A slot of the integer product is at most min(len a, len b) * s * (p-1)^2,
+    # and the fold adds at most (s - 1) * (p - 1) times that, so no slot
     # carries into the next one.
-    w = _slot_width(min(len(a), len(b)) * (p - 1) ** 2)
-    x = _pack(a, w)
-    y = x if b is a else _pack(b, w)  # CPython squares faster than it multiplies
-    return [c % p for c in _unpack(x * y, len(a) + len(b) - 1, w)]
+    w = _slot_width(min(len(a), len(b)) * s * (p - 1) ** 2 * (1 + (s - 1) * (p - 1)))
+    x = _pack(_spread(a, p, s), w)
+    y = x if b is a else _pack(_spread(b, p, s), w)  # CPython squares faster
+    vals = _unpack(x * y, n * t, w)
+    if s == 1:
+        return [c % p for c in vals]
+    # The fold is linear, so it runs once on whole columns, column k packing
+    # slot k of every block.
+    cols = fold([_pack(vals[k::t], w) for k in range(t)], s, field._fold_rows)
+    out = [0] * n
+    for col in reversed(cols):
+        out = [e * p + c % p for e, c in zip(out, _unpack(col, n, w))]
+    return out
 
 
-def _inverse_series(f, n, p):
-    """g with f * g = 1 mod T^n over F_p, by Newton iteration; f[0] != 0."""
+def _inverse_series(f, n, field):
+    """g with f * g = 1 mod T^n over F_q, by Newton iteration; f[0] != 0."""
     f = list(f[:n]) + [0] * (n - len(f))
-    g = [pow(f[0], p - 2, p)]
+    g = [field.inv(f[0])]
     k = 1
     while k < n:
         k2 = min(2 * k, n)
         # f * g = 1 + T^k * e mod T^k2, so g - T^k * g * e is right mod T^k2.
-        e = _kmul(f[:k2], g, p)[k:k2]
-        g += [-c % p for c in _kmul(g[: k2 - k], e, p)[: k2 - k]]
+        e = _kmul(f[:k2], g, field)[k:k2]
+        g += field._lincomb([0] * (k2 - k), _kmul(g[: k2 - k], e, field), -1)
         k = k2
     return g
 
@@ -196,43 +225,28 @@ class Poly:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        """self + sign * other, in one pass over the coefficients."""
         self._same_ring(other)
-        f = self.field
         a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        if f.s == 1:
-            p = f.p
-            for i, c in enumerate(b):
-                out[i] = (out[i] + c) % p
-        else:
-            for i, c in enumerate(b):
-                out[i] = f.add(out[i], c)
+        n = max(len(a), len(b))
+        out = self.field._lincomb(a + (0,) * (n - len(a)), b + (0,) * (n - len(b)), sign)
         while out and out[-1] == 0:
             out.pop()
-        return Poly._mk(f, tuple(out))
+        return Poly._mk(self.field, tuple(out))
 
-    def __neg__(self):
-        f = self.field
-        return Poly._mk(f, tuple(f.neg(c) for c in self.coeffs))
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        return Poly.zero(self.field) - self
 
     def scale(self, c):
         """Multiply by the field element c."""
-        f = self.field
-        f._check(c)
-        if c == 0:
-            return Poly.zero(f)
-        if c == 1:
-            return self
-        if f.s == 1:
-            p = f.p
-            return Poly._mk(f, tuple(x * c % p for x in self.coeffs))
-        return Poly._mk(f, tuple(f.mul(x, c) for x in self.coeffs))
+        return self * Poly.constant(self.field, c)
 
     def shift(self, k):
         """Multiply by T^k."""
@@ -246,17 +260,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(f)
-        if f.s == 1:
-            return Poly._mk(f, tuple(_kmul(a, b, f.p)))
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = f.add(out[i + j], f.mul(x, y))
-        while out and out[-1] == 0:
-            out.pop()
-        return Poly._mk(f, tuple(out))
+        return Poly._mk(f, tuple(_kmul(a, b, f)))
 
     def __pow__(self, e):
         if e < 0:
@@ -271,35 +275,12 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             return Poly.zero(f), self
-        if f.s == 1:
-            return self._divmod_prime(other)
-        db = len(b) - 1
-        binv = f.inv(b[-1])
-        r = list(a)
-        qcoeffs = [0] * (len(a) - db)
-        for k in range(len(a) - 1 - db, -1, -1):
-            c = r[k + db]
-            if c:
-                qc = f.mul(c, binv)
-                qcoeffs[k] = qc
-                for j in range(db + 1):
-                    if b[j]:
-                        r[k + j] = f.sub(r[k + j], f.mul(qc, b[j]))
-        rem = r[:db]
-        while rem and rem[-1] == 0:
-            rem.pop()
-        while qcoeffs and qcoeffs[-1] == 0:
-            qcoeffs.pop()
-        return Poly._mk(f, tuple(qcoeffs)), Poly._mk(f, tuple(rem))
-
-    def _divmod_prime(self, other):
-        f = self.field
-        p = f.p
-        a, b = self.coeffs, other.coeffs
         db = len(b) - 1
         nq = len(a) - db
-        if min(nq, db) < _NEWTON_MIN_LEN:
-            # Long division on Python ints, reducing mod p only where read.
+        if f.modulus is None and min(nq, db) < _NEWTON_MIN_LEN:
+            # Short division over a prime field: long division on Python
+            # ints, reducing mod p only where read.
+            p = f.p
             binv = pow(b[-1], p - 2, p)
             r = list(a)
             quo = [0] * nq
@@ -311,11 +292,10 @@ class Poly:
             rem = [c % p for c in r[:db]]
         else:
             # Reversed, a = q * b + r reads rev(a) = rev(q) * rev(b) mod T^nq.
-            inv = _inverse_series(b[::-1], nq, p)
-            quo = _kmul(a[::-1][:nq], inv, p)[nq - 1 :: -1]
+            inv = _inverse_series(b[::-1], nq, f)
+            quo = _kmul(a[::-1][:nq], inv, f)[nq - 1 :: -1]
             # r = a - q * b has degree < db, so only the low db terms are needed.
-            low = _kmul(quo[:db], b[:db], p)
-            rem = [(x - y) % p for x, y in zip(a[:db], low)]
+            rem = f._lincomb(a[:db], _kmul(quo[:db], b[:db], f), -1) if db else []
         while rem and rem[-1] == 0:
             rem.pop()
         return Poly._mk(f, tuple(quo)), Poly._mk(f, tuple(rem))

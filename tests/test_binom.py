@@ -280,3 +280,20 @@ def test_digitwise_congruence_statement(ctx9, cache9, f3):
             mm //= 9
         want = ctx9.reduce(binom_exact(n, m, f3)) if m <= n else ctx9.zero
         assert prod == want
+
+
+def test_binom_exact_is_the_carry_product(f4, f9):
+    # binom(n, m)_C is the product of [k] = T^(q^k) - T over the positions k
+    # that receive a carry when m and n - m are added in base q.
+    rng = random.Random(59)
+    for field, top in ((f4, 300), (f9, 200)):
+        q = field.q
+        for n, m in [(top, 0), (top, top), (top, 1)] + [
+                (n, rng.randint(0, n)) for n in rng.sample(range(top), 8)]:
+            expect = Poly.one(field)
+            k = 1
+            while q ** (k - 1) <= n:
+                if m % q**k > n % q**k:
+                    expect = expect * (Poly.monomial(field, q**k) - Poly.gen(field))
+                k += 1
+            assert binom_exact(n, m, field) == expect, (q, n, m)

@@ -387,3 +387,9 @@ def test_json_validation(ctx9, cache9):
     bad["counts"] = [dict(good["counts"][0], residue="T+2")]
     with pytest.raises(ValueError):
         from_json_dict(bad)
+
+
+def test_residue_labels_walk_the_root_powers(f2):
+    ctx = ResidueCtx(parse_poly("T^7+T+1", f2))
+    d = distribution(300, ctx, DigitBinomCache(ctx))
+    assert d.residue_labels == [ctx.label(j) for j in range(ctx.group_order)]

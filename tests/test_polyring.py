@@ -1,8 +1,10 @@
 import random
+from functools import lru_cache
 
 import pytest
 
 from carlitz import Field, GuardrailError, NEG_INF, ParseError
+from carlitz import polyring
 from carlitz.polyring import (
     Poly,
     find_irreducible,
@@ -347,7 +349,7 @@ def test_kronecker_product_matches_schoolbook(p):
 
 
 def test_extension_field_product_unchanged(f4):
-    # s > 1 keeps its schoolbook over Field arithmetic.
+    # The two-variable Kronecker product equals schoolbook over Field arithmetic.
     rng = random.Random(29)
     a, b = nonzero_poly(f4, 40, rng), nonzero_poly(f4, 33, rng)
     out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
@@ -419,3 +421,58 @@ def test_pow_matches_repeated_product(f3, f4, monkeypatch):
     assert squarings == []  # no squaring after the exponent's last bit
     assert base**4 == fourth
     assert len(squarings) == 2
+
+
+def field_schoolbook(a, b, field):
+    """a * b over F_q with one Field.mul and Field.add per pair of coefficients."""
+    mul, add = lru_cache(maxsize=None)(field.mul), lru_cache(maxsize=None)(field.add)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = add(out[i + j], mul(x, y))
+    return Poly(field, out)
+
+
+@pytest.mark.parametrize("p, s", [(2, 2), (2, 3), (3, 2), (5, 2), (65537, 2),
+                                  (4294967311, 2)])
+def test_extension_kronecker_product_matches_schoolbook(p, s, monkeypatch):
+    field = Field(p, s)
+    rng = random.Random(p * s)
+    widths = []
+    pack = polyring._pack
+    monkeypatch.setattr(polyring, "_pack", lambda cs, w: widths.append(w) or pack(cs, w))
+    polys = {n: nonzero_poly(field, n, rng) for n in (1, 5, 300)}
+    for la, lb in [(1, 5), (5, 300), (300, 1)]:
+        a, b = polys[la], polys[lb]
+        assert a * b == field_schoolbook(a.coeffs, b.coeffs, field), (la, lb)
+    for a in polys.values():
+        assert a * a == field_schoolbook(a.coeffs, a.coeffs, field), len(a.coeffs)
+    # 8-byte slots for F_(65537^2); wider ones, packed in Python, beyond.
+    assert max(widths) == {65537: 8, 4294967311: 14}.get(p, 2)
+
+
+@pytest.mark.parametrize("p, s", [(2, 2), (3, 2), (2, 3), (5, 2)])
+def test_extension_divmod_both_sides_of_newton_crossover(p, s):
+    from carlitz.polyring import _NEWTON_MIN_LEN as cross
+
+    field = Field(p, s)
+    rng = random.Random(47 + p * s)
+    for lq, lb in [(1, 1), (30, 1), (2, 3), (5, 4), (cross - 1, cross + 5),
+                   (cross + 5, cross - 1), (3 * cross, 2 * cross), (2, 10 * cross)]:
+        b = nonzero_poly(field, lb, rng)
+        if b.is_monic():
+            b = b.scale(rng.randrange(2, field.q))  # a non-monic divisor
+        q = nonzero_poly(field, lq, rng)
+        for r in (Poly.zero(field), Poly(field, [rng.randrange(field.q) for _ in range(lb - 1)])):
+            quo, rem = divmod(q * b + r, b)
+            assert quo == q and rem == r, (p, s, lq, lb)
+            assert quo * b + rem == q * b + r
+
+
+def test_sub_is_add_of_negative(f2, f3, f4, f9):
+    rng = random.Random(53)
+    for field in (f2, f3, f4, f9):
+        for _ in range(200):
+            a, b = rand_poly(field, 12, rng), rand_poly(field, 12, rng)
+            assert a - b == a + (-b)
+            assert a - a == Poly.zero(field)
