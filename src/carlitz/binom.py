@@ -90,16 +90,14 @@ def binom_exact(n: int, m: int, field: Field,
     return quot
 
 
-def _carries(a: int, b: int, q: int):
-    """Positions k >= 1 that receive a carry when a and b are added in base q."""
-    k = carry = 0
-    while a or b:
+def _carry_positions(n: int, q: int):
+    """(k, q^k, n mod q^k) for every position k >= 1 that a carry of
+    m + (n - m), m <= n, can reach: k receives one iff m mod q^k > n mod q^k."""
+    k, qk = 1, q
+    while qk <= n:
+        yield k, qk, n % qk
         k += 1
-        carry = a % q + b % q + carry >= q
-        if carry:
-            yield k
-        a //= q
-        b //= q
+        qk *= q
 
 
 class DigitBinomCache:
@@ -139,12 +137,7 @@ class DigitBinomCache:
         q, h, order = ctx.q, ctx.h, ctx.group_order
         # (q^k, n mod q^k, dlog [k mod h]) for every k a carry can reach,
         # the k = 0 mod h first: a carry there settles m as None.
-        positions = []
-        k, qk = 1, q
-        while qk <= n:
-            positions.append((qk, n % qk, self.bracket_logs[k % h]))
-            k += 1
-            qk *= q
+        positions = [(qk, r, self.bracket_logs[k % h]) for k, qk, r in _carry_positions(n, q)]
         positions.sort(key=lambda pos: pos[2] is not None)
         for m in range(n + 1):
             s = 0
@@ -166,7 +159,8 @@ class DigitBinomCache:
 
     def binom(self, n: int, m: int) -> Residue:
         """binom(n, m)_C mod the prime: the product of [k mod h] over the
-        carries of m + (n - m), zero once a carry lands on a multiple of h."""
+        carries of m + (n - m), zero once a carry lands on a multiple of h.
+        Carries are read by the rule binom_logs states."""
         if n < 0 or m < 0:
             raise ValueError("binomial indices must be nonnegative")
         ctx = self.ctx
@@ -174,11 +168,11 @@ class DigitBinomCache:
             return ctx.zero
         h = ctx.h
         result = ctx.one
-        for k in _carries(m, n - m, ctx.q):
-            k %= h
-            if not k:
-                return ctx.zero
-            result = result * self.brackets[k]
+        for k, qk, r in _carry_positions(n, ctx.q):
+            if m % qk > r:
+                if not k % h:
+                    return ctx.zero
+                result = result * self.brackets[k % h]
         return result
 
     def factorial(self, n: int) -> Residue:

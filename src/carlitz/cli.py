@@ -17,7 +17,6 @@ while main runs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .binom import DigitBinomCache, binom_exact, factorial_exact
@@ -145,6 +144,8 @@ def _parse_n(text) -> int:
 
 def _print_dist(dist, fmt, out):
     if fmt == "json":
+        import json  # only this branch needs it, so other runs start faster
+
         print(json.dumps(to_json_dict(dist), indent=2), file=out)
         return
     if fmt == "csv":

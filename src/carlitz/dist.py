@@ -22,7 +22,6 @@ n + 1 - G_n(1) and is reported separately.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 from itertools import accumulate, repeat
 from operator import mul
 
@@ -175,15 +174,20 @@ def gn_fast(n: int, ctx: ResidueCtx, cache: DigitBinomCache,
     return result
 
 
-@dataclass
 class Distribution:
     """The class-by-class census of binom(n, m)_C mod p over m in [0, n]."""
 
-    n: int
-    method: str
-    counts: CountPoly
-    zero_count: int
-    ctx: ResidueCtx = dc_field(repr=False)
+    def __init__(self, n: int, method: str, counts: CountPoly, zero_count: int,
+                 ctx: ResidueCtx):
+        self.n = n
+        self.method = method
+        self.counts = counts
+        self.zero_count = zero_count
+        self.ctx = ctx
+
+    def __repr__(self):
+        return (f"Distribution(n={self.n!r}, method={self.method!r}, "
+                f"counts={self.counts!r}, zero_count={self.zero_count!r})")
 
     def epsilon(self, j: int) -> int:
         """eps_j(n); j may be any integer and reduces mod q^h - 1."""

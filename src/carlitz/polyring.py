@@ -12,11 +12,13 @@ Text form, both for parsing and canonical output:
     coeff := uint | '(' upoly ')' | umono
 
 where upoly is the same grammar over the extension generator u with plain
-integer coefficients and no parentheses, and umono is its mono: one parser
-reads both, and evaluates u-level coefficients in F_q.  Whitespace is ignored
-and integer coefficients are taken mod p.  Canonical output (gf's terms_str)
-lists terms by descending power, '+'-separated, elides unit coefficients,
-and parenthesizes extension coefficients ("T^3+2*T", "(u+1)*T+(u)").
+integer coefficients and no parentheses, and umono is its mono.  Text is
+read one term at a time, each ending at a '+' outside parentheses or at the
+end, and a coefficient by the same loop at the u level, evaluated in F_q.
+Whitespace is dropped, but none may split a number; integers are taken
+mod p.  Canonical output (gf's terms_str) lists terms by descending power,
+'+'-separated, elides unit coefficients, and parenthesizes extension
+coefficients ("T^3+2*T", "(u+1)*T+(u)").
 
 Every product is one Kronecker substitution: both coefficient lists are
 packed into a single Python int, multiplied once (CPython's Karatsuba does
@@ -34,6 +36,7 @@ p works.
 
 from __future__ import annotations
 
+import re
 import sys
 from array import array
 from operator import mul
@@ -267,7 +270,8 @@ class Poly:
             raise ValueError("negative polynomial powers are not defined in A")
         return power(self, e, Poly.one(self.field), mul)
 
-    def __divmod__(self, other):
+    def __divmod__(self, other, inv=None):
+        """inv, a list, may carry other's reversed inverse series between calls."""
         self._same_ring(other)
         f = self.field
         if not other.coeffs:
@@ -292,10 +296,14 @@ class Poly:
             rem = [c % p for c in r[:db]]
         else:
             # Reversed, a = q * b + r reads rev(a) = rev(q) * rev(b) mod T^nq.
-            inv = _inverse_series(b[::-1], nq, f)
-            quo = _kmul(a[::-1][:nq], inv, f)[nq - 1 :: -1]
+            inv = [] if inv is None else inv
+            if len(inv) < nq:
+                inv[:] = _inverse_series(b[::-1], nq, f)
+            quo = _kmul(a[::-1][:nq], inv[:nq], f)[nq - 1 :: -1]
             # r = a - q * b has degree < db, so only the low db terms are needed.
             rem = f._lincomb(a[:db], _kmul(quo[:db], b[:db], f), -1) if db else []
+        if not any(rem):  # an exact division: drop the zeros at once
+            rem = []
         while rem and rem[-1] == 0:
             rem.pop()
         return Poly._mk(f, tuple(quo)), Poly._mk(f, tuple(rem))
@@ -357,7 +365,10 @@ def poly_powmod(base: Poly, e: int, mod: Poly) -> Poly:
     base._same_ring(mod)
     if not mod:
         raise ZeroDivisionError("powmod modulus is zero")
-    return power(base % mod, e, Poly.one(base.field) % mod, lambda x, y: x * y % mod)
+    # Every Newton division by mod reuses (and, if too short, renews) one inverse.
+    inv = []
+    return power(base.__divmod__(mod, inv)[1], e, Poly.one(base.field) % mod,
+                 lambda x, y: (x * y).__divmod__(mod, inv)[1])
 
 
 # -- irreducibility ----------------------------------------------------------
@@ -402,126 +413,64 @@ class ParseError(ValueError):
     pass
 
 
-def _tokenize(text):
-    toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("int", int(text[i:j])))
-            i = j
-            continue
-        if ch in "Tu^*+()":
-            toks.append((ch, ch))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r} in polynomial text")
-    return toks
+# One term per variable, [coeff '*'] var ['^' k] | coeff, then the '+' before
+# the next term or the end of the text.  A T-level coeff is a uint, one u-term
+# or u-text in parentheses; a u-level coeff is a uint.
+_TERM = {var: re.compile(rf"(?:(?:(?P<c>{c})\*)?(?P<v>{var})(?:\^(?P<k>\d+))?|(?P<a>{c}))"
+                         rf"(?P<plus>\+|\Z)")
+         for var, c in (("T", r"\d+|\([^()]*\)|u(?:\^\d+)?"), ("u", r"\d+"))}
 
 
-class _Parser:
-    def __init__(self, toks, field):
-        self.toks = toks
-        self.i = 0
-        self.field = field
+def _terms(text, var, field):
+    """Whitespace-free text read one term in var at a time, summed into
+    {power: coefficient encoding}."""
+    acc, pos, plus = {}, 0, "+"
+    while plus:
+        m = _TERM[var].match(text, pos)
+        if m is None:
+            raise ParseError(f"cannot read a term in {var} from {text[pos:pos + 20]!r}")
+        pos, plus, coeff = m.end(), m["plus"], m["a"] if m["v"] is None else m["c"]
+        c = 1 if coeff is None else _coefficient(coeff, field)
+        if c:
+            k = int(m["k"] or 1) if m["v"] else 0
+            acc[k] = field.add(acc.get(k, 0), c)
+    return acc
 
-    def peek(self):
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
 
-    def take(self, kind=None):
-        if self.i >= len(self.toks):
-            raise ParseError("unexpected end of polynomial text")
-        tok = self.toks[self.i]
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}")
-        self.i += 1
-        return tok
+def _coefficient(text, field):
+    """An integer, one u-term, or u-text in parentheses, as an F_q element."""
+    if text.isdecimal():
+        return int(text) % field.p  # plain integers embed as F_p values in any F_q
+    inner = text.strip("()")
+    if field.s == 1 and "u" in inner:
+        raise ParseError(f"coefficient outside field: 'u' is not an element of F_{field.p}")
+    val = 0
+    for k, c in _terms(inner, "u", field).items():  # k > 0 only if s > 1
+        val = field.add(val, field.mul(c, field.pow(field.from_coords((0, 1)), k)) if k else c)
+    return val
 
-    def parse(self, var):
-        """The whole text as a polynomial in var ('T', or 'u' for modulus text)."""
-        acc = self.terms(var)
-        if self.i != len(self.toks):
-            raise ParseError(f"trailing input at {self.toks[self.i][1]!r}")
-        top = max(acc, default=-1)
-        if top > DEFAULT_EXACT_DEGREE_LIMIT:
-            raise GuardrailError(f"degree {top} exceeds the exact-degree limit "
-                                 f"{DEFAULT_EXACT_DEGREE_LIMIT}")
-        return Poly(self.field, [acc.get(k, 0) for k in range(top + 1)])
 
-    def terms(self, var):
-        """'+'-separated terms in var, summed into {power: coefficient encoding}."""
-        f = self.field
-        acc = {}
-        while True:
-            k, c = self.term(var)
-            if c:
-                acc[k] = f.add(acc.get(k, 0), c)
-            if self.peek() != "+":
-                return acc
-            self.take("+")
-
-    def term(self, var):
-        """One term; returns (power of var, coefficient encoding)."""
-        kind = self.peek()
-        if kind is None:
-            raise ParseError("empty term")
-        if kind == var:
-            return self.mono(var), 1
-        coeff = self.coefficient(var)
-        if self.peek() == "*":
-            self.take("*")
-            return self.mono(var), coeff
-        return 0, coeff
-
-    def mono(self, var):
-        self.take(var)
-        if self.peek() == "^":
-            self.take("^")
-            return self.take("int")[1]
-        return 1
-
-    def coefficient(self, var):
-        kind = self.peek()
-        f = self.field
-        if kind == "int":
-            # Plain integers embed as F_p values in any F_q.
-            return self.take()[1] % f.p
-        if var != "T" or kind not in ("u", "("):
-            raise ParseError(f"expected a coefficient, found {kind!r}")
-        # An F_q coefficient: one u-term, or a u-polynomial in parentheses.
-        start = self.i
-        if kind == "u":
-            upoly = {self.mono("u"): 1}
-        else:
-            self.take("(")
-            upoly = self.terms("u")
-            self.take(")")
-        if f.s == 1 and ("u", "u") in self.toks[start : self.i]:
-            raise ParseError(f"coefficient outside field: 'u' is not an element of F_{f.p}")
-        val = 0
-        for k, c in upoly.items():
-            if k:  # so s > 1: a prime field has no u
-                c = f.mul(c, f.pow(f.from_coords((0, 1)), k))
-            val = f.add(val, c)
-        return val
+def _read(text, var, field):
+    """The whole text as a polynomial in var ('T', or 'u' for modulus text)."""
+    if re.search(r"\d\s+\d", text):
+        raise ParseError("whitespace inside a number")
+    acc = _terms("".join(text.split()), var, field)
+    top = max(acc, default=-1)
+    if top > DEFAULT_EXACT_DEGREE_LIMIT:
+        raise GuardrailError(f"degree {top} exceeds the exact-degree limit "
+                             f"{DEFAULT_EXACT_DEGREE_LIMIT}")
+    return Poly(field, [acc.get(k, 0) for k in range(top + 1)])
 
 
 def parse_poly(text: str, field: Field) -> Poly:
     """Parse ring-polynomial text over the given field."""
-    return _Parser(_tokenize(text), field).parse("T")
+    return _read(text, "T", field)
 
 
 def parse_upoly(text: str, p: int) -> tuple:
     """Parse extension-modulus text like 'u^2+u+1' into F_p coefficients
     (little-endian, including the leading one)."""
-    return _Parser(_tokenize(text), Field(p)).parse("u").coeffs
+    return _read(text, "u", Field(p)).coeffs
 
 
 def format_poly(poly: Poly) -> str:

@@ -18,13 +18,7 @@ by one scan of their carry logs; the bulk counting lives in dist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 from .limits import DEFAULT_CLASS_ENUM_LIMIT, GuardrailError
-
-if TYPE_CHECKING:
-    from .binom import DigitBinomCache
 
 
 def digits_of(n: int, base: int) -> list[int]:
@@ -41,21 +35,37 @@ def digits_of(n: int, base: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
 class Word:
-    """A nonempty digit word over {0, ..., base-1}, lowest position first."""
+    """A nonempty digit word over {0, ..., base-1}, lowest position first.
+    Immutable: assigning to a word raises AttributeError."""
 
-    digits: tuple
-    base: int
-
-    def __post_init__(self):
-        if not self.digits:
+    def __init__(self, digits: tuple, base: int):
+        if not digits:
             raise ValueError("words must be nonempty")
-        if self.base < 2:
+        if base < 2:
             raise ValueError("word base must be >= 2")
-        for d in self.digits:
-            if not 0 <= d < self.base:
-                raise ValueError(f"digit {d} out of range [0, {self.base})")
+        for d in digits:
+            if not 0 <= d < base:
+                raise ValueError(f"digit {d} out of range [0, {base})")
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "base", base)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"Word(digits={self.digits!r}, base={self.base!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.digits, self.base) == (other.digits, other.base)
+
+    def __hash__(self):
+        return hash((self.digits, self.base))
 
     @classmethod
     def from_int(cls, n: int, base: int, length: int | None = None) -> "Word":

@@ -397,6 +397,19 @@ def test_import_does_not_load_numpy():
     assert proc.stdout == "False\n"
 
 
+def test_import_skips_dataclasses_typing_json():
+    # -S keeps site's own imports out, so only carlitz.cli's imports count.
+    src = str(Path(carlitz.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, carlitz.cli; "
+         "print(sorted({'dataclasses', 'typing', 'json'} & set(sys.modules)))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_installed_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "carlitz.cli"] + BASE + ["-n", "1811"],

@@ -160,6 +160,32 @@ def test_powmod_skips_the_last_squaring(f3, monkeypatch):
     assert len(squarings) == 2
 
 
+def test_powmod_inverts_the_modulus_once(f3, f4, monkeypatch):
+    inverses = []
+    inverse_series = polyring._inverse_series
+
+    def counting(f, n, field):
+        inverses.append(n)
+        return inverse_series(f, n, field)
+
+    monkeypatch.setattr(polyring, "_inverse_series", counting)
+    rng = random.Random(37)
+    mod = nonzero_poly(f4, 9, rng)
+    for e in (2, 3, 100, 257):
+        # base^2 is the first product reduced, with the most quotient terms.
+        base = nonzero_poly(f4, 8, rng)
+        naive = base
+        for _ in range(e - 1):
+            naive = naive * base % mod
+        inverses.clear()
+        assert poly_powmod(base, e, mod) == naive
+        assert inverses == [7]
+    # Short divisions over F_p stay schoolbook: no inverse at all.
+    inverses.clear()
+    poly_powmod(Poly.gen(f3), 3**7, parse_poly("T^7+2*T+1", f3))
+    assert inverses == []
+
+
 # -- irreducibility -----------------------------------------------------------
 
 
@@ -270,6 +296,16 @@ def test_parse_degree_guardrail(f2):
     assert parse_poly("T^1000000", f2).degree == 10**6
 
 
+def test_parse_upoly_degree_guardrail():
+    # Modulus text: spaced exponents count, zero terms do not, and a syntax
+    # error is reported before the degree.
+    with pytest.raises(GuardrailError):
+        parse_upoly("u ^ 1000001 + 1", 3)
+    assert parse_upoly("0*u^1000001+u+1", 2) == (1, 1)
+    with pytest.raises(ParseError):
+        parse_upoly("u^1000001+", 2)
+
+
 def test_parse_upoly():
     assert parse_upoly("u^2+u+1", 2) == (1, 1, 1)
     assert parse_upoly("u^2+1", 3) == (1, 0, 1)
@@ -301,6 +337,10 @@ GRAMMAR_CASES = [
     ((2, 2), "(u+1*T", None),
     ((2, 2), "u*u", None),
     ((2, 2), "()", None),
+    ((3, 1), "1 2", None),  # whitespace may not split a number
+    ((3, 1), "T^1 0", None),
+    ((2, 2), "T ^ 2 + u", (2, 0, 1)),
+    ((2, 2), "( u + 1 ) * T", (0, 3)),
 ]
 
 
