@@ -5,9 +5,10 @@ Carlitz factorial of n = sum n_i q^i (base q) is n!_C = prod D_i^(n_i), and
 
     binom(n, m)_C = n!_C / (m!_C * (n-m)!_C)   for m <= n, else 0,
 
-is again an element of A.  binom_exact computes it by honest polynomial
-division (a nonzero remainder is an internal error); factorial degrees grow
-fast, so the exact routines take a degree guardrail.
+is again an element of A.  As D_i^(min(n_i, m_i + (n-m)_i)) cancels, with
+e_i = n_i - m_i - (n-m)_i binom_exact divides only prod_{e_i>0} D_i^(e_i) by
+prod_{e_i<0} D_i^(-e_i) (a nonzero remainder is an internal error).  Both
+exact routines first check deg n!_C against a degree guardrail.
 
 With [k] = T^(q^k) - T, so that D_i = [i] * D_{i-1}^q = [i] * D_{i-1}(T^q)
 (F_q coefficients are fixed by Frobenius), the binomial is also
@@ -24,6 +25,7 @@ m <= n, by its carries alone.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import islice, zip_longest
 
 from .gf import Field
 from .limits import DEFAULT_EXACT_DEGREE_LIMIT, GuardrailError
@@ -42,9 +44,7 @@ def d_poly(i: int, field: Field, degree_limit: int = DEFAULT_EXACT_DEGREE_LIMIT)
     q = field.q
     deg = i * q**i
     if deg > degree_limit:
-        raise GuardrailError(
-            f"deg D_{i} = {deg} exceeds the exact-degree limit {degree_limit}"
-        )
+        raise GuardrailError(f"deg D_{i} = {deg} exceeds the exact-degree limit {degree_limit}")
     prev = d_poly(i - 1, field, degree_limit).coeffs
     cs = [0] * ((len(prev) - 1) * q + 1)
     cs[::q] = prev
@@ -52,20 +52,23 @@ def d_poly(i: int, field: Field, degree_limit: int = DEFAULT_EXACT_DEGREE_LIMIT)
     return spread.shift(q**i) - spread.shift(1)
 
 
+def _factorial_digits(n: int, q: int, degree_limit: int) -> list:
+    """n's base-q digits n_i, once deg n!_C = sum n_i * i * q^i is known to
+    stay within degree_limit (GuardrailError otherwise)."""
+    digits = digits_of(n, q)
+    deg = sum(ni * i * q**i for i, ni in enumerate(digits))
+    if deg > degree_limit:
+        raise GuardrailError(f"deg {n}!_C = {deg} exceeds the exact-degree limit {degree_limit}")
+    return digits
+
+
 def factorial_exact(n: int, field: Field,
                     degree_limit: int = DEFAULT_EXACT_DEGREE_LIMIT) -> Poly:
     """The Carlitz factorial n!_C as an exact polynomial."""
     if n < 0:
         raise ValueError("factorial needs n >= 0")
-    q = field.q
-    digits = digits_of(n, q)
-    deg = sum(ni * i * q**i for i, ni in enumerate(digits))
-    if deg > degree_limit:
-        raise GuardrailError(
-            f"deg {n}!_C = {deg} exceeds the exact-degree limit {degree_limit}"
-        )
     result = Poly.one(field)
-    for i, ni in enumerate(digits):
+    for i, ni in enumerate(_factorial_digits(n, field.q, degree_limit)):
         if ni and i:
             di = d_poly(i, field, degree_limit)
             for _ in range(ni):
@@ -75,18 +78,26 @@ def factorial_exact(n: int, field: Field,
 
 def binom_exact(n: int, m: int, field: Field,
                 degree_limit: int = DEFAULT_EXACT_DEGREE_LIMIT) -> Poly:
-    """The Carlitz binomial coefficient as an exact polynomial, by division."""
+    """The Carlitz binomial coefficient as an exact polynomial: the D_i^(e_i)
+    with e_i > 0 divided by those with e_i < 0 (see the module doc)."""
     if n < 0 or m < 0:
         raise ValueError("binomial indices must be nonnegative")
     if m > n:
         return Poly.zero(field)
-    num = factorial_exact(n, field, degree_limit)
-    den = factorial_exact(m, field, degree_limit) * factorial_exact(n - m, field, degree_limit)
+    q = field.q
+    num = den = Poly.one(field)
+    digits = zip_longest(_factorial_digits(n, q, degree_limit),
+                         digits_of(m, q), digits_of(n - m, q), fillvalue=0)
+    for i, (ni, mi, ri) in enumerate(islice(digits, 1, None), 1):  # D_0 = 1
+        e = ni - mi - ri
+        if e > 0:
+            num = num * d_poly(i, field, degree_limit) ** e
+        elif e < 0:
+            den = den * d_poly(i, field, degree_limit) ** -e
     quot, rem = divmod(num, den)
     if rem:
         raise ArithmeticError(
-            f"binom({n}, {m})_C is not integral: division left remainder {rem}"
-        )
+            f"binom({n}, {m})_C is not integral: division left remainder {rem}")
     return quot
 
 
@@ -125,12 +136,9 @@ class DigitBinomCache:
 
     def binom_logs(self, n: int):
         """Yield, for m = 0 .. n, the discrete log of binom(n, m)_C mod the
-        prime, or None where that binomial is 0.
-
-        Position k >= 1 receives a carry in m + (n - m) exactly when
-        m mod q^k > n mod q^k.  The binomial is 0 once such a k is a multiple
-        of h, and otherwise its log is the sum of dlog [k mod h] over them.
-        """
+        prime, or None where it is 0: the binomial is 0 once a carry of
+        m + (n - m) (see _carry_positions) lands on a multiple of h, and
+        otherwise its log is the sum of dlog [k mod h] over the carries k."""
         if n < 0:
             raise ValueError("binomial indices must be nonnegative")
         ctx = self.ctx
@@ -160,7 +168,7 @@ class DigitBinomCache:
     def binom(self, n: int, m: int) -> Residue:
         """binom(n, m)_C mod the prime: the product of [k mod h] over the
         carries of m + (n - m), zero once a carry lands on a multiple of h.
-        Carries are read by the rule binom_logs states."""
+        Carries are read by the rule _carry_positions states."""
         if n < 0 or m < 0:
             raise ValueError("binomial indices must be nonnegative")
         ctx = self.ctx

@@ -4,10 +4,11 @@ discrete-log structure of its unit group.
 A residue is represented by its canonical remainder, a polynomial of degree
 below h, kept as a trimmed tuple of field-element encodings.  Its arithmetic
 is polyring's: sums and negatives are Poly arithmetic on the representative,
-a ring element is reduced by `poly % prime`, and over F_q with s > 1 a
-product is `(a * b) % prime`.  Over a prime field a product is instead
-gf's mul_fold, which folds the schoolbook product back with the rows T^k mod
-p, k = h .. 2h-2, as that is faster on these short representatives.
+and a ring element, or over F_q with s > 1 a product of two, is reduced by
+dividing it by the prime, whose Newton inverse the context keeps between
+divisions.  Over a prime field a product is instead gf's mul_fold, which
+folds the schoolbook product back with the rows T^k mod p, k = h .. 2h-2,
+as that is faster on these short representatives.
 Residues also have a canonical integer encoding sum(enc(c_i) * q^i) in
 [0, q^h), which indexes the discrete-log table and keys every cache.
 
@@ -131,6 +132,9 @@ class ResidueCtx:
         self.group_order = self.base - 1
         self.factors = factorize(self.group_order) if self.group_order > 1 else []
         self.key = (self.field, prime.coeffs)
+        # The prime's reversed Newton inverse, kept between divisions by it
+        # (see Poly.__divmod__), as poly_powmod keeps its modulus's.
+        self._inv = []
 
         # T^k mod prime for k = h .. 2h-2: enough to fold any product of reps
         # over F_p (see _mul).
@@ -188,7 +192,7 @@ class ResidueCtx:
 
     def reduce(self, poly: Poly) -> Residue:
         """The residue of an arbitrary ring element."""
-        return Residue(self, (poly % self.prime).coeffs)
+        return Residue(self, poly.__divmod__(self.prime, self._inv)[1].coeffs)
 
     # -- core arithmetic -----------------------------------------------------
 
@@ -198,7 +202,7 @@ class ResidueCtx:
             return ()
         f = self.field
         if f.s > 1:
-            return ((Poly._mk(f, ac) * Poly._mk(f, bc)) % self.prime).coeffs
+            return self.reduce(Poly._mk(f, ac) * Poly._mk(f, bc)).coeffs
         # Over F_p the schoolbook product folded with the rows T^k mod prime
         # beats Poly * Poly % prime on reps of degree < h: the dlog table does
         # q^h - 1 of these products, and going through polyring made building

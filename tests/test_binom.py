@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -125,11 +126,55 @@ def test_binom_exact_integrality_and_symmetry(f3, f2):
 
 
 def test_binom_exact_pascal_column(f3):
-    # binom(n, 1) = n!_C / (n-1)!_C for n >= 1 with nonzero digits... spot
-    # check the direct quotient identity on a few rows instead.
+    # Multiplying binom(n, 1)_C back by 1!_C * (n-1)!_C gives n!_C, for
+    # n = 1 .. 29 (1!_C = D_0 = 1).
     for n in range(1, 30):
         lhs = binom_exact(n, 1, f3) * factorial_exact(1, f3) * factorial_exact(n - 1, f3)
         assert lhs == factorial_exact(n, f3)
+
+
+def binom_by_factorials(n, m, field, fact=factorial_exact):
+    """Reference: n!_C // (m!_C * (n-m)!_C), asserting a zero remainder."""
+    quot, rem = divmod(fact(n, field), fact(m, field) * fact(n - m, field))
+    assert not rem, (field.q, n, m)
+    return quot
+
+
+def test_binom_exact_against_factorial_quotient(f2, f3, f4, f9):
+    # Every m <= n <= 3q^2 over F_2 .. F_5 and n <= q^2 over F_7 and F_9:
+    # the cancelled quotient against the quotient of the full factorials.
+    for field, top in ((f2, 12), (f3, 27), (f4, 48), (Field(5), 75), (Field(7), 49), (f9, 81)):
+        fact = lru_cache(maxsize=None)(factorial_exact)
+        for n in range(top + 1):
+            for m in range(n + 1):
+                want = binom_by_factorials(n, m, field, fact)
+                assert binom_exact(n, m, field) == want, (field.q, n, m)
+
+
+def test_binom_exact_workload_pairs():
+    # The exact benchmark's (n, m), deg n!_C between 15,000 and 25,000.
+    pairs = {2: [(1805, 513), (1953, 749)], 3: [(3640, 1199), (3701, 1526)],
+             5: [(4679, 3090), (3855, 1952)], 7: [(5714, 4082), (5824, 3344)]}
+    for p, nms in pairs.items():
+        field = Field(p)
+        for n, m in nms:
+            assert binom_exact(n, m, field) == binom_by_factorials(n, m, field), (p, n, m)
+    assert str(binom_exact(5714, 4082, Field(7))) == "T^2744+6*T^2402+6*T^344+T^2"
+    assert str(binom_exact(3855, 1952, Field(5))) == "T^3130+4*T^3126+4*T^6+T^2"
+
+
+def test_binom_exact_guardrail_edges(f3):
+    # deg 6561!_C = 8 * 3^8 = 52,488 bounds every binom(6561, m)_C, even
+    # those with nothing left to divide; m > n is 0 under any limit.
+    for m in (0, 1, 6561):
+        with pytest.raises(GuardrailError):
+            binom_exact(6561, m, f3, degree_limit=52_487)
+    assert binom_exact(6561, 0, f3, degree_limit=52_488) == Poly.one(f3)
+    assert binom_exact(6561, 6561, f3, degree_limit=52_488) == Poly.one(f3)
+    # 1 + 6560 carries into every position k = 1 .. 8.
+    b = binom_exact(6561, 1, f3, degree_limit=52_488)
+    assert b.degree == sum(3**k for k in range(1, 9))
+    assert binom_exact(5, 7, f3, degree_limit=0).is_zero()
 
 
 def test_binom_exact_errors(f3):

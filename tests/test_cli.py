@@ -247,6 +247,17 @@ def test_exit_guardrail(capsys):
     assert code == 3
 
 
+def test_exit_guardrail_binom_exact_edge(capsys):
+    # deg 6561!_C = 52,488 over F_3: one below it exits 3, at it the answer prints.
+    argv = ["binom", "-p", "3", "-n", "6561", "-m", "1", "--exact", "--degree-limit"]
+    code, out, err = run(argv + ["52487"], capsys)
+    assert (code, out) == (3, "")
+    assert "deg 6561!_C = 52488 exceeds" in err
+    code, out, _ = run(argv + ["52488"], capsys)
+    assert code == 0
+    assert out.startswith("T^9840+")
+
+
 def test_argparse_usage_exit():
     with pytest.raises(SystemExit) as e:
         main([])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from carlitz import Field, Poly, Residue, ResidueCtx, find_irreducible, parse_poly
+from carlitz import Field, Poly, Residue, ResidueCtx, find_irreducible, parse_poly, polyring
 from carlitz.intfactor import factorize, is_prime
 
 
@@ -159,6 +159,26 @@ def test_reduce_extension(f4):
     for _ in range(100):
         poly = Poly(f4, [rng.randrange(4) for _ in range(rng.randint(1, 20))])
         assert ctx.reduce(poly).rep == poly % ctx.prime
+
+
+def test_ctx_inverts_the_prime_once(f4, monkeypatch):
+    # Over F_4 every residue product divides by the prime; the context keeps
+    # one Newton inverse of it, renewed only when a longer quotient needs it.
+    ctx = ResidueCtx(parse_poly("T^3+T+1", f4))
+    rng = random.Random(43)
+    units = [ctx.from_enc(rng.randrange(1, ctx.base)) for _ in range(101)]
+    poly = Poly(f4, [rng.randrange(4) for _ in range(40)] + [1])
+    inverses = []
+    inverse_series = polyring._inverse_series
+    monkeypatch.setattr(polyring, "_inverse_series",
+                        lambda f, n, field: inverses.append(n) or inverse_series(f, n, field))
+    products = [a * b for a, b in zip(units, units[1:])]
+    reduced = ctx.reduce(poly)
+    assert len(inverses) <= 2
+    monkeypatch.undo()
+    for a, b, prod in zip(units, units[1:], products):
+        assert prod.rep == a.rep * b.rep % ctx.prime
+    assert reduced.rep == poly % ctx.prime
 
 
 def test_dlog_homomorphism(small_rings):
