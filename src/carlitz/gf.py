@@ -93,10 +93,10 @@ class Field:
             raise ValueError(f"extension degree must be >= 1, got {s}")
         self.p = p
         self.s = s
-        self.q = p**s
         if s == 1:
             if modulus is not None:
                 raise ValueError("a prime field takes no modulus")
+            self.q = p
             self.modulus = None
             self._fold_rows = None
             return
@@ -114,6 +114,7 @@ class Field:
             if not is_irreducible(m):
                 raise ValueError("modulus is reducible")
         self.modulus = m.coeffs
+        self.q = p**s  # only now: the search above refuses a huge s first
         # u^k mod modulus for k = s .. 2s-2: enough to fold any product of
         # coordinates (see mul).
         self._fold_rows = [(Poly.monomial(fp, k) % m).coeffs for k in range(s, 2 * s - 1)]

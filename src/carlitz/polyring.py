@@ -27,11 +27,12 @@ multipoint Kronecker substitution", J. Symb. Comput. 2009).  Over F_q with
 q = p^s, s > 1, the substitution has two variables (von zur Gathen and
 Gerhard, Modern Computer Algebra, section 8.4): each coefficient spreads its
 s base-p coordinates over a block of 2s - 1 slots, and the u^s .. u^(2s-2)
-slots of the product are folded back by the field's reduction rows.  Short
-divisions over F_p are schoolbook on Python ints; every other division takes
-the quotient from a Newton inverse of the reversed divisor, so it is a few
-such products too.  Coefficients stay Python ints throughout, so any prime
-p works.
+slots of the product are folded back by the field's reduction rows.  Every
+division takes the quotient from a Newton inverse of the reversed divisor,
+so it is a few such products too.  The divisor keeps that inverse, grown to
+the longest quotient asked of it so far, so repeated divisions by one modulus
+(powmod, a residue ring's prime) invert it once.  Coefficients stay Python
+ints throughout, so any prime p works.
 """
 
 from __future__ import annotations
@@ -50,16 +51,6 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 
 # array typecodes by item size: slots of 1, 2, 4 or 8 bytes pack in C.
 _ARRAY_CODES = {array(t).itemsize: t for t in "BHIQ"}
-
-# Over F_p, division switches from schoolbook to the Newton quotient once
-# both the quotient and the divisor have at least this many coefficients.
-# Schoolbook is one Python-level step per quotient coefficient, each as long
-# as the divisor; Newton is about 2 log2(len q) kernel products, whose fixed
-# cost only pays off once both are long.  Timed over F_2, F_3 and F_7, the
-# two break even near 32-48 coefficients; the wide slots of p > 2^32 pack in
-# Python and break even later.  Over F_q with s > 1 a schoolbook step would
-# be Field arithmetic per coefficient, so every division there is Newton.
-_NEWTON_MIN_LEN = 48
 
 
 def _slot_width(bound):
@@ -138,7 +129,9 @@ def _inverse_series(f, n, field):
 class Poly:
     """An element of F_q[T]."""
 
-    __slots__ = ("field", "coeffs")
+    # _inv: the reversed Newton inverse series that __divmod__ computes for
+    # this divisor and keeps, as a Poly never changes.
+    __slots__ = ("field", "coeffs", "_inv")
 
     def __init__(self, field: Field, coeffs=()):
         cs = [int(c) for c in coeffs]
@@ -270,8 +263,7 @@ class Poly:
             raise ValueError("negative polynomial powers are not defined in A")
         return power(self, e, Poly.one(self.field), mul)
 
-    def __divmod__(self, other, inv=None):
-        """inv, a list, may carry other's reversed inverse series between calls."""
+    def __divmod__(self, other):
         self._same_ring(other)
         f = self.field
         if not other.coeffs:
@@ -281,27 +273,13 @@ class Poly:
             return Poly.zero(f), self
         db = len(b) - 1
         nq = len(a) - db
-        if f.modulus is None and min(nq, db) < _NEWTON_MIN_LEN:
-            # Short division over a prime field: long division on Python
-            # ints, reducing mod p only where read.
-            p = f.p
-            binv = pow(b[-1], p - 2, p)
-            r = list(a)
-            quo = [0] * nq
-            for k in range(nq - 1, -1, -1):
-                c = r[k + db] % p
-                if c:
-                    qc = quo[k] = c * binv % p
-                    r[k : k + db] = [x - qc * y for x, y in zip(r[k : k + db], b)]
-            rem = [c % p for c in r[:db]]
-        else:
-            # Reversed, a = q * b + r reads rev(a) = rev(q) * rev(b) mod T^nq.
-            inv = [] if inv is None else inv
-            if len(inv) < nq:
-                inv[:] = _inverse_series(b[::-1], nq, f)
-            quo = _kmul(a[::-1][:nq], inv[:nq], f)[nq - 1 :: -1]
-            # r = a - q * b has degree < db, so only the low db terms are needed.
-            rem = f._lincomb(a[:db], _kmul(quo[:db], b[:db], f), -1) if db else []
+        # Reversed, a = q * b + r reads rev(a) = rev(q) * rev(b) mod T^nq.
+        inv = getattr(other, "_inv", ())
+        if len(inv) < nq:
+            inv = other._inv = _inverse_series(b[::-1], nq, f)
+        quo = _kmul(a[::-1][:nq], inv[:nq], f)[nq - 1 :: -1]
+        # r = a - q * b has degree < db, so only the low db terms are needed.
+        rem = f._lincomb(a[:db], _kmul(quo[:db], b[:db], f), -1) if db else []
         if not any(rem):  # an exact division: drop the zeros at once
             rem = []
         while rem and rem[-1] == 0:
@@ -362,13 +340,7 @@ def poly_powmod(base: Poly, e: int, mod: Poly) -> Poly:
     """base^e mod `mod` by square-and-multiply; e must be >= 0."""
     if e < 0:
         raise ValueError("powmod exponent must be nonnegative")
-    base._same_ring(mod)
-    if not mod:
-        raise ZeroDivisionError("powmod modulus is zero")
-    # Every Newton division by mod reuses (and, if too short, renews) one inverse.
-    inv = []
-    return power(base.__divmod__(mod, inv)[1], e, Poly.one(base.field) % mod,
-                 lambda x, y: (x * y).__divmod__(mod, inv)[1])
+    return power(base % mod, e, Poly.one(base.field) % mod, lambda x, y: x * y % mod)
 
 
 # -- irreducibility ----------------------------------------------------------
@@ -392,11 +364,20 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
+def _check_degree(deg):
+    """Refuse a polynomial of degree above DEFAULT_EXACT_DEGREE_LIMIT before
+    anything of that size is built."""
+    if deg > DEFAULT_EXACT_DEGREE_LIMIT:
+        raise GuardrailError(f"degree {deg} exceeds the exact-degree limit "
+                             f"{DEFAULT_EXACT_DEGREE_LIMIT}")
+
+
 def find_irreducible(h: int, field: Field) -> Poly:
     """The first monic irreducible of degree h, taking the coefficient tuple
     (c_0, ..., c_{h-1}) ascending in the canonical integer encoding."""
     if h < 1:
         raise ValueError(f"degree must be >= 1, got {h}")
+    _check_degree(h)  # before q^h and a dense candidate of h + 1 terms
     q = field.q
     for e in range(q**h):
         cs = digits_of(e, q)
@@ -456,9 +437,7 @@ def _read(text, var, field):
         raise ParseError("whitespace inside a number")
     acc = _terms("".join(text.split()), var, field)
     top = max(acc, default=-1)
-    if top > DEFAULT_EXACT_DEGREE_LIMIT:
-        raise GuardrailError(f"degree {top} exceeds the exact-degree limit "
-                             f"{DEFAULT_EXACT_DEGREE_LIMIT}")
+    _check_degree(top)
     return Poly(field, [acc.get(k, 0) for k in range(top + 1)])
 
 

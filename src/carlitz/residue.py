@@ -5,7 +5,7 @@ A residue is represented by its canonical remainder, a polynomial of degree
 below h, kept as a trimmed tuple of field-element encodings.  Its arithmetic
 is polyring's: sums and negatives are Poly arithmetic on the representative,
 and a ring element, or over F_q with s > 1 a product of two, is reduced by
-dividing it by the prime, whose Newton inverse the context keeps between
+Poly division by the prime, which keeps its own Newton inverse between
 divisions.  Over a prime field a product is instead gf's mul_fold, which
 folds the schoolbook product back with the rows T^k mod p, k = h .. 2h-2,
 as that is faster on these short representatives.
@@ -132,14 +132,13 @@ class ResidueCtx:
         self.group_order = self.base - 1
         self.factors = factorize(self.group_order) if self.group_order > 1 else []
         self.key = (self.field, prime.coeffs)
-        # The prime's reversed Newton inverse, kept between divisions by it
-        # (see Poly.__divmod__), as poly_powmod keeps its modulus's.
-        self._inv = []
 
-        # T^k mod prime for k = h .. 2h-2: enough to fold any product of reps
-        # over F_p (see _mul).
-        self._fold_rows = [(Poly.monomial(self.field, k) % prime).coeffs
-                           for k in range(self.h, 2 * self.h - 1)]
+        # Over F_p, T^k mod prime for k = h .. 2h-2: enough to fold any
+        # product of reps (see _mul).  The longest quotient comes first, so
+        # the prime computes its Newton inverse once.
+        if self.field.s == 1:
+            self._fold_rows = [(Poly.monomial(self.field, k) % prime).coeffs
+                               for k in range(2 * self.h - 2, self.h - 1, -1)][::-1]
 
         self.zero = Residue(self, ())
         self.one = Residue(self, (1,))
@@ -192,7 +191,7 @@ class ResidueCtx:
 
     def reduce(self, poly: Poly) -> Residue:
         """The residue of an arbitrary ring element."""
-        return Residue(self, poly.__divmod__(self.prime, self._inv)[1].coeffs)
+        return Residue(self, (poly % self.prime).coeffs)
 
     # -- core arithmetic -----------------------------------------------------
 

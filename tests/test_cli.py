@@ -380,6 +380,17 @@ def test_irreducible_degree_guardrail(capsys):
     assert "exceeds the exact-degree limit" in err
 
 
+def test_searched_degree_guardrail(capsys):
+    # A searched prime or field modulus is refused before q^h and a dense
+    # candidate of h + 1 terms are built.
+    for argv in (["irreducible", "-p", "2", "--degree", "1000001"],
+                 ["dist", "-p", "2", "--prime-degree", "1000001", "-n", "5"],
+                 ["irreducible", "-p", "2", "-s", "1000001", "--degree", "1"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (3, ""), argv
+        assert "exceeds the exact-degree limit" in err
+
+
 def test_irreducible_large_prime(capsys):
     # p = 4294967311 > 2^32; sympy 1.14 verified this cubic irreducible offline.
     code, out, _ = run(["irreducible", "-p", "4294967311", "--poly",

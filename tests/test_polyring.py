@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import pytest
 
-from carlitz import Field, GuardrailError, NEG_INF, ParseError
+from carlitz import Field, GuardrailError, NEG_INF, ParseError, ResidueCtx
 from carlitz import polyring
 from carlitz.polyring import (
     Poly,
@@ -161,29 +161,34 @@ def test_powmod_skips_the_last_squaring(f3, monkeypatch):
 
 
 def test_powmod_inverts_the_modulus_once(f3, f4, monkeypatch):
+    # A divisor keeps its Newton inverse: one modulus object is inverted once
+    # across divmod, %, //, poly_powmod and ResidueCtx.reduce, at the longest
+    # quotient asked first.  An equal but distinct divisor, inverted afresh,
+    # gives equal results.
     inverses = []
     inverse_series = polyring._inverse_series
-
-    def counting(f, n, field):
-        inverses.append(n)
-        return inverse_series(f, n, field)
-
-    monkeypatch.setattr(polyring, "_inverse_series", counting)
     rng = random.Random(37)
-    mod = nonzero_poly(f4, 9, rng)
-    for e in (2, 3, 100, 257):
-        # base^2 is the first product reduced, with the most quotient terms.
-        base = nonzero_poly(f4, 8, rng)
-        naive = base
-        for _ in range(e - 1):
-            naive = naive * base % mod
+    for field, h in ((f3, 7), (f4, 3)):
+        mod = find_irreducible(h, field)
+        twin = Poly(field, mod.coeffs)
+        ctx, twin_ctx = ResidueCtx(mod), ResidueCtx(twin)
+        a = nonzero_poly(field, h + 41, rng)  # a quotient of 41 terms
+        powers = [(nonzero_poly(field, 2 * h, rng), e) for e in (2, 3, 100)]
+        naive = [b**e % Poly(field, mod.coeffs) for b, e in powers]
+        monkeypatch.setattr(polyring, "_inverse_series",
+                            lambda f, n, fd: inverses.append(n) or inverse_series(f, n, fd))
+
+        def divisions(m, c):
+            return [divmod(a, m), a % m, a // m, c.reduce(a), c.reduce(powers[0][0]),
+                    [poly_powmod(b, e, m) for b, e in powers]]
+
         inverses.clear()
-        assert poly_powmod(base, e, mod) == naive
-        assert inverses == [7]
-    # Short divisions over F_p stay schoolbook: no inverse at all.
-    inverses.clear()
-    poly_powmod(Poly.gen(f3), 3**7, parse_poly("T^7+2*T+1", f3))
-    assert inverses == []
+        results = divisions(mod, ctx)
+        assert inverses == [41]
+        assert results[-1] == naive
+        assert divisions(twin, twin_ctx) == results
+        assert inverses == [41, 41]
+        monkeypatch.undo()
 
 
 # -- irreducibility -----------------------------------------------------------
@@ -296,6 +301,15 @@ def test_parse_degree_guardrail(f2):
     assert parse_poly("T^1000000", f2).degree == 10**6
 
 
+def test_find_irreducible_degree_guardrail():
+    # Refused before q^h and a dense candidate of h + 1 terms, also through
+    # Field's modulus search.
+    with pytest.raises(GuardrailError, match="exceeds the exact-degree limit"):
+        find_irreducible(1_000_001, Field(2))
+    with pytest.raises(GuardrailError, match="exceeds the exact-degree limit"):
+        Field(2, 1_000_001)
+
+
 def test_parse_upoly_degree_guardrail():
     # Modulus text: spaced exponents count, zero terms do not, and a syntax
     # error is reported before the degree.
@@ -401,13 +415,11 @@ def test_extension_field_product_unchanged(f4):
 
 @pytest.mark.parametrize("p", [2, 3, 7, 65537])
 def test_divmod_both_sides_of_newton_crossover(p):
-    from carlitz.polyring import _NEWTON_MIN_LEN as cross
-
     field = Field(p)
     rng = random.Random(31 + p)
-    # Quotient length lq and divisor degree lb - 1 straddle the crossover.
-    for lq, lb in [(cross - 1, cross + 5), (cross + 5, cross - 1), (cross, cross + 1),
-                   (3 * cross, 2 * cross), (20 * cross, cross + 3), (2, 10 * cross)]:
+    # Quotient length lq and divisor length lb on both sides of 48, where
+    # short divisions over F_p once left Newton for schoolbook.
+    for lq, lb in [(47, 53), (53, 47), (48, 49), (144, 96), (960, 51), (2, 480)]:
         b = nonzero_poly(field, lb, rng)
         if b.is_monic() and p > 2:
             b = b.scale(p - 1)  # a non-monic divisor
@@ -415,6 +427,19 @@ def test_divmod_both_sides_of_newton_crossover(p):
         for r in (Poly.zero(field), nonzero_poly(field, lb - 1, rng)):
             quo, rem = divmod(q * b + r, b)
             assert quo == q and rem == r, (p, lq, lb)
+
+
+@pytest.mark.parametrize("p", [3, 4294967311])
+def test_divmod_long_quotient_short_divisor(p):
+    # The corner schoolbook took before Newton did every division: a quotient
+    # of 20,000 terms over a divisor of degree 1-5.
+    field = Field(p)
+    rng = random.Random(59 + p)
+    q = nonzero_poly(field, 20_000, rng)
+    for lb in range(2, 7):
+        b = nonzero_poly(field, lb, rng)
+        r = nonzero_poly(field, lb - 1, rng)
+        assert divmod(q * b + r, b) == (q, r), lb
 
 
 @pytest.mark.parametrize("p", [65537, 4294967311, 2**61 - 1, 2**89 - 1])
@@ -493,12 +518,9 @@ def test_extension_kronecker_product_matches_schoolbook(p, s, monkeypatch):
 
 @pytest.mark.parametrize("p, s", [(2, 2), (3, 2), (2, 3), (5, 2)])
 def test_extension_divmod_both_sides_of_newton_crossover(p, s):
-    from carlitz.polyring import _NEWTON_MIN_LEN as cross
-
     field = Field(p, s)
     rng = random.Random(47 + p * s)
-    for lq, lb in [(1, 1), (30, 1), (2, 3), (5, 4), (cross - 1, cross + 5),
-                   (cross + 5, cross - 1), (3 * cross, 2 * cross), (2, 10 * cross)]:
+    for lq, lb in [(1, 1), (30, 1), (2, 3), (5, 4), (47, 53), (53, 47), (144, 96), (2, 480)]:
         b = nonzero_poly(field, lb, rng)
         if b.is_monic():
             b = b.scale(rng.randrange(2, field.q))  # a non-monic divisor
