@@ -22,7 +22,6 @@ n + 1 - G_n(1) and is reported separately.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, repeat
 from operator import mul
 
 from .binom import DigitBinomCache
@@ -121,12 +120,17 @@ def digit_counts(n: int, ctx: ResidueCtx) -> list[int]:
     return counts
 
 
+def _check_ring(ctx: ResidueCtx, *parts):
+    """Raise ValueError unless each cache or table given has ctx's root (and prime)."""
+    if any(p is not None and p.ctx.primitive_root != ctx.primitive_root for p in parts):
+        raise ValueError("a cache or table belongs to another ring or primitive root")
+
+
 class BaseTable:
     """Lazy per-digit data: class rows and single-digit polynomials G_d."""
 
     def __init__(self, ctx: ResidueCtx, cache: DigitBinomCache):
-        if cache.ctx is not ctx and cache.ctx.key != ctx.key:
-            raise ValueError("cache belongs to a different ring")
+        _check_ring(ctx, cache)
         self.ctx = ctx
         self.cache = cache
         self._rows: dict[int, tuple] = {}
@@ -165,6 +169,7 @@ def gn_fast(n: int, ctx: ResidueCtx, cache: DigitBinomCache,
     """G_n(x) via the digit-product identity; polylogarithmic in n."""
     if n < 0:
         raise ValueError("distributions need n >= 0")
+    _check_ring(ctx, cache, table)
     if table is None:
         table = BaseTable(ctx, cache)
     result = CountPoly.one(ctx.group_order)
@@ -199,10 +204,7 @@ class Distribution:
     @property
     def residue_labels(self) -> list[str]:
         """Labels of root^0 .. root^(q^h - 2), one walk over the powers."""
-        ctx = self.ctx
-        powers = accumulate(repeat(ctx.primitive_root, ctx.group_order - 1), mul,
-                            initial=ctx.one)
-        return [str(r) for r in powers]
+        return [str(r) for r in self.ctx.powers(self.ctx.group_order)]
 
     def nonzero_items(self) -> list[tuple[int, int]]:
         """(exponent, count) pairs for the classes that actually occur."""
@@ -215,7 +217,7 @@ class Distribution:
             and self.method == other.method
             and self.counts == other.counts
             and self.zero_count == other.zero_count
-            and self.ctx.key == other.ctx.key
+            and self.ctx.primitive_root == other.ctx.primitive_root  # compares the rings too
         )
 
 
@@ -225,14 +227,15 @@ def distribution_brute(n: int, ctx: ResidueCtx, cache: DigitBinomCache,
     """Classify every m in [0, n] one by one; the linear-time oracle.
 
     Each m is judged by the base-q carries of m + (n - m) over the whole of
-    n, so no digit row and no product identity is involved.  `table` stays
-    in the signature for existing callers and is not read: reading the fast
-    path's rows would make this no oracle for them.
+    n, so no digit row and no product identity is involved.  A given `table`
+    must be of this ring and root, but its rows are never read: that would
+    make this no oracle for the fast path.
     """
     if n < 0:
         raise ValueError("distributions need n >= 0")
     if n > limit:
         raise GuardrailError(f"brute scan of n = {n} exceeds the enumeration limit {limit}")
+    _check_ring(ctx, cache, table)
     hist = Counter(cache.binom_logs(n))
     zero_count = hist.pop(None, 0)
     return Distribution(n=n, method="brute",
@@ -249,7 +252,7 @@ def distribution(n: int, ctx: ResidueCtx, cache: DigitBinomCache,
         return Distribution(n=n, method="fast", counts=counts,
                             zero_count=n + 1 - counts.eval_one(), ctx=ctx)
     if method == "brute":
-        return distribution_brute(n, ctx, cache, limit=limit)
+        return distribution_brute(n, ctx, cache, limit=limit, table=table)
     raise ValueError(f"unknown method {method!r} (expected 'fast' or 'brute')")
 
 

@@ -15,8 +15,8 @@ DEFAULT_ENUM_LIMIT = 10**7
 # Largest word value z(w) the class-set enumeration will scan.
 DEFAULT_CLASS_ENUM_LIMIT = 10**6
 
-# Discrete logs use a full lookup table while q^h - 1 stays at or below this;
-# larger groups fall back to baby-step/giant-step.
+# The first discrete log builds a full lookup table while q^h - 1 stays at or
+# below this; above it, ceil(sqrt(q^h - 1)) baby steps shared by later logs.
 DLOG_TABLE_LIMIT = 2**20
 
 

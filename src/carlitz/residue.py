@@ -15,12 +15,15 @@ Residues also have a canonical integer encoding sum(enc(c_i) * q^i) in
 The unit group is cyclic of order q^h - 1.  A ResidueCtx fixes one
 generator ("primitive root"): either a validated caller choice or the first
 primitive element when candidates are ordered by ascending integer encoding
-(equivalently by degree, then coefficient tuple).  Discrete logs come from a
-full table while the group is small and from baby-step/giant-step beyond.
+(equivalently by degree, then coefficient tuple).  The first discrete log
+builds the full table, or above a limit the baby steps that later logs share.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import accumulate, repeat
+from math import isqrt
 from operator import mul
 
 from .gf import mul_fold, power
@@ -154,10 +157,7 @@ class ResidueCtx:
             self.primitive_root = cand
         else:
             self.primitive_root = self._find_primitive_root()
-
-        self._dlog_table = None
-        if self.group_order <= dlog_table_limit:
-            self._build_dlog_table()
+        self._dlog_table_limit = dlog_table_limit
 
     # -- construction helpers ------------------------------------------------
 
@@ -173,14 +173,6 @@ class ResidueCtx:
             if self._is_primitive(cand):
                 return cand
         raise ArithmeticError("no primitive root found")  # unreachable
-
-    def _build_dlog_table(self):
-        table = [-1] * self.base
-        cur = self.one
-        for j in range(self.group_order):
-            table[cur.enc] = j
-            cur = cur * self.primitive_root
-        self._dlog_table = table
 
     # -- residue construction ----------------------------------------------
 
@@ -202,10 +194,8 @@ class ResidueCtx:
         f = self.field
         if f.s > 1:
             return self.reduce(Poly._mk(f, ac) * Poly._mk(f, bc)).coeffs
-        # Over F_p the schoolbook product folded with the rows T^k mod prime
-        # beats Poly * Poly % prime on reps of degree < h: the dlog table does
-        # q^h - 1 of these products, and going through polyring made building
-        # ResidueCtx(T^15+T+1) about twice as slow.
+        # Over F_p, folding the schoolbook product with the rows T^k mod prime
+        # builds the full dlog table of T^15+T+1 twice as fast as Poly * Poly % prime.
         res = mul_fold(ac, bc, self.h, self._fold_rows, f.p)
         while res and res[-1] == 0:
             res.pop()
@@ -223,30 +213,35 @@ class ResidueCtx:
                 order //= ell
         return order
 
+    @cached_property
+    def _baby_steps(self):
+        """(lookup, m, root^-m) with lookup(enc(root^j)) = j for j < m.  Up to the
+        table limit m = q^h - 1, in a list by encoding (a dict took 2 MiB more
+        peak memory on T^15+T+1); above it m = ceil(sqrt(q^h - 1)), in a dict."""
+        order = self.group_order
+        full = order <= self._dlog_table_limit
+        m = order if full else isqrt(order - 1) + 1
+        steps = [None] * self.base if full else {}
+        lookup = steps.__getitem__ if full else steps.get
+        for j, r in enumerate(self.powers(m)):
+            steps[r.enc] = j
+        return lookup, m, (self.primitive_root ** m).inverse()
+
     def dlog(self, r: Residue) -> int:
         """Exponent j in [0, q^h - 1) with primitive_root^j = r; r must be nonzero."""
         if not r:
             raise ValueError("the zero residue has no discrete log")
-        if self._dlog_table is not None:
-            return self._dlog_table[r.enc]
-        return self._dlog_bsgs(r)
-
-    def _dlog_bsgs(self, r: Residue) -> int:
-        order = self.group_order
-        m = int(order**0.5) + 1
-        baby = {}
-        cur = self.one
-        for j in range(m):
-            baby.setdefault(cur.enc, j)
-            cur = cur * self.primitive_root
-        giant = (self.primitive_root ** m).inverse()
-        gamma = r
-        for i in range(m + 1):
-            j = baby.get(gamma.enc)
+        lookup, m, giant = self._baby_steps
+        for i in range(m):  # m * m >= q^h - 1, so the log i*m + j has i < m
+            j = lookup(r.enc)
             if j is not None:
-                return (i * m + j) % order
-            gamma = gamma * giant
-        raise ArithmeticError(f"discrete log of {r} not found")  # unreachable
+                return i * m + j
+            r = r * giant
+        raise ArithmeticError("discrete log not found")  # unreachable
+
+    def powers(self, count: int):
+        """primitive_root^0 .. primitive_root^(count - 1), one product each."""
+        return accumulate(repeat(self.primitive_root, count - 1), mul, initial=self.one)
 
     def label(self, j: int) -> str:
         """Canonical text of primitive_root^j (j taken mod the group order)."""

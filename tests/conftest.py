@@ -62,3 +62,13 @@ def dlog_calls(monkeypatch):
     real = ResidueCtx.dlog
     monkeypatch.setattr(ResidueCtx, "dlog", lambda self, r: calls.append(r) or real(self, r))
     return calls
+
+
+@pytest.fixture
+def mul_calls(monkeypatch):
+    """One entry per residue product (ResidueCtx._mul) from here on."""
+    calls = []
+    real = ResidueCtx._mul
+    monkeypatch.setattr(ResidueCtx, "_mul",
+                        lambda self, a, b: calls.append(None) or real(self, a, b))
+    return calls

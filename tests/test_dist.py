@@ -186,6 +186,49 @@ def test_base_table_ring_mismatch(ctx9, f3):
         BaseTable(ctx9, DigitBinomCache(other))
 
 
+def _foreign_census_calls(f2, f3, ctx9, cache9):
+    """Census calls handed a cache or table of another prime or root; over
+    F_2 the true census of n = 2 mod T^4+T+1 is [(0, 2), (5, 1)], and over
+    F_3 root T+2 in place of T+1 labels the 90 binomials = T as 2*T."""
+    ctx_a = ResidueCtx(parse_poly("T^4+T+1", f2))
+    ctx_b = ResidueCtx(parse_poly("T^4+T^3+1", f2))
+    cache_a, cache_b = DigitBinomCache(ctx_a), DigitBinomCache(ctx_b)
+    other_root = ResidueCtx(ctx9.prime, primitive_root=parse_poly("T+2", f3))
+    other_cache = DigitBinomCache(other_root)
+    return {
+        "brute-other-prime-cache": lambda: distribution_brute(2, ctx_a, cache_b),
+        "fast-other-prime-table":
+            lambda: distribution(2, ctx_a, cache_a, table=BaseTable(ctx_b, cache_b)),
+        "fast-other-root-cache": lambda: distribution(1811, ctx9, other_cache),
+        "gn-other-root-table":
+            lambda: gn_fast(1811, ctx9, cache9, BaseTable(other_root, other_cache)),
+        "table-other-root-cache": lambda: BaseTable(ctx9, other_cache),
+    }
+
+
+@pytest.mark.parametrize("call", ["brute-other-prime-cache", "fast-other-prime-table",
+                                  "fast-other-root-cache", "gn-other-root-table",
+                                  "table-other-root-cache"])
+def test_census_rejects_another_ring_or_root(call, f2, f3, ctx9, cache9):
+    # A cache's or table's logs are to its own prime and root; read against
+    # another they mislabel the census.
+    with pytest.raises(ValueError):
+        _foreign_census_calls(f2, f3, ctx9, cache9)[call]()
+
+
+def test_census_accepts_an_equal_context(f2, ctx9, cache9):
+    ctx_a = ResidueCtx(parse_poly("T^4+T+1", f2))
+    assert distribution_brute(2, ctx_a, DigitBinomCache(ctx_a)).nonzero_items() == [(0, 2), (5, 1)]
+    # An equal but distinct context is the same ring and root.
+    twin = ResidueCtx(ctx9.prime, primitive_root=ctx9.primitive_root.rep)
+    twin_cache = DigitBinomCache(twin)
+    twin_table = BaseTable(twin, twin_cache)
+    assert distribution(1811, ctx9, twin_cache) == distribution(1811, ctx9, cache9)
+    assert gn_fast(1811, ctx9, cache9, twin_table) == gn_fast(1811, ctx9, cache9)
+    assert (distribution_brute(1811, ctx9, twin_cache, table=twin_table)
+            == distribution_brute(1811, ctx9, cache9))
+
+
 # -- the fast product ---------------------------------------------------------
 
 
@@ -302,6 +345,8 @@ def test_primitive_root_invariance(ctx9, cache9, f3):
         by_label2 = {d2.residue_label(j): c for j, c in d2.nonzero_items()}
         assert by_label1 == by_label2, n
         assert d1.zero_count == d2.zero_count
+    # n = 0 has the same counts under both roots; the root tells them apart.
+    assert distribution(0, ctx9, cache9) != distribution(0, alt, alt_cache)
 
 
 def _monic_irreducibles(field, degree):

@@ -1,8 +1,10 @@
 import random
+from math import isqrt
 
 import pytest
 
-from carlitz import Field, Poly, Residue, ResidueCtx, find_irreducible, parse_poly, polyring
+from carlitz import (DigitBinomCache, Field, Poly, Residue, ResidueCtx, find_irreducible,
+                     parse_poly, polyring)
 from carlitz.intfactor import factorize, is_prime
 
 
@@ -199,13 +201,46 @@ def test_dlog_zero_rejected(ctx9):
 
 
 def test_dlog_bsgs_matches_table(f3, f2):
-    # Force the table off and compare against the table-backed context.
-    for prime_text, field in [("T^2+1", f3), ("T^4+T+1", f2)]:
+    # Table limits around L = q^h - 1 against the default context: at or
+    # above L the baby steps are the full table, a list, and below it
+    # ceil(sqrt(L)) of them in a dict.
+    for prime_text, field in [("T^2+1", f3), ("T^4+T+1", f2), ("T", f2)]:
         full = ResidueCtx(parse_poly(prime_text, field))
-        bsgs = ResidueCtx(parse_poly(prime_text, field), dlog_table_limit=1)
-        assert bsgs._dlog_table is None
-        for e in range(1, full.base):
-            assert full.dlog(full.from_enc(e)) == bsgs.dlog(bsgs.from_enc(e))
+        L = full.group_order
+        for limit in (1, L - 1, L):
+            ctx = ResidueCtx(parse_poly(prime_text, field), dlog_table_limit=limit)
+            for e in range(1, full.base):
+                assert full.dlog(full.from_enc(e)) == ctx.dlog(ctx.from_enc(e))
+            lookup, m, _ = ctx._baby_steps
+            if limit >= L:
+                assert isinstance(lookup.__self__, list) and m == L
+            else:
+                assert isinstance(lookup.__self__, dict)
+                assert len(lookup.__self__) == m == isqrt(L - 1) + 1
+                assert m < L or L == 1
+
+
+def test_ctx_takes_no_log_work_before_the_first_dlog(f2, mul_calls):
+    # binom and factorial take no discrete log, so none of the table's
+    # q^h - 1 = 32767 products is made.
+    ctx = ResidueCtx(parse_poly("T^15+T+1", f2))
+    cache = DigitBinomCache(ctx)
+    cache.binom(10**12, 10**11)
+    cache.factorial(12345)
+    assert len(mul_calls) <= 200
+
+
+def test_bsgs_shares_its_baby_steps(f2, mul_calls):
+    # After the first log, each log is giant steps only: at most
+    # ceil(sqrt(L)) + 1 products.
+    ctx = ResidueCtx(parse_poly("T^15+T+1", f2), dlog_table_limit=0)
+    ctx.dlog(ctx.from_enc(12345))
+    for e in (2, 2**15 - 1, 20000):
+        r = ctx.from_enc(e)
+        mul_calls.clear()
+        j = ctx.dlog(r)
+        assert len(mul_calls) <= isqrt(ctx.group_order - 1) + 2
+        assert ctx.primitive_root ** j == r
 
 
 def test_mult_order(ctx9, f3):
