@@ -36,7 +36,7 @@ from .words import digits_of
 
 @lru_cache(maxsize=64)
 def d_poly(i: int, field: Field, degree_limit: int = DEFAULT_EXACT_DEGREE_LIMIT) -> Poly:
-    """The exact polynomial D_i = [i] * D_{i-1}(T^q)."""
+    """The exact polynomial D_i = [i] * D_{i-1}(T^q), written without a product."""
     if i < 0:
         raise ValueError("D_i needs i >= 0")
     if i == 0:
@@ -46,10 +46,12 @@ def d_poly(i: int, field: Field, degree_limit: int = DEFAULT_EXACT_DEGREE_LIMIT)
     if deg > degree_limit:
         raise GuardrailError(f"deg D_{i} = {deg} exceeds the exact-degree limit {degree_limit}")
     prev = d_poly(i - 1, field, degree_limit).coeffs
-    cs = [0] * ((len(prev) - 1) * q + 1)
-    cs[::q] = prev
-    spread = Poly._mk(field, tuple(cs))  # D_{i-1}(T^q)
-    return spread.shift(q**i) - spread.shift(1)
+    # D_{i-1}(T^q) * T^(q^i) fills the positions = 0 mod q and
+    # -D_{i-1}(T^q) * T those = 1 mod q, so the two never overlap.
+    cs = [0] * (deg + 1)
+    cs[q**i :: q] = prev
+    cs[1 : (len(prev) - 1) * q + 2 : q] = field._lincomb([0] * len(prev), prev, -1)
+    return Poly._mk(field, tuple(cs))
 
 
 def _factorial_digits(n: int, q: int, degree_limit: int) -> list:
@@ -64,15 +66,14 @@ def _factorial_digits(n: int, q: int, degree_limit: int) -> list:
 
 def factorial_exact(n: int, field: Field,
                     degree_limit: int = DEFAULT_EXACT_DEGREE_LIMIT) -> Poly:
-    """The Carlitz factorial n!_C as an exact polynomial."""
+    """The Carlitz factorial n!_C as an exact polynomial: one power
+    D_i^(n_i) per nonzero base-q digit."""
     if n < 0:
         raise ValueError("factorial needs n >= 0")
     result = Poly.one(field)
     for i, ni in enumerate(_factorial_digits(n, field.q, degree_limit)):
         if ni and i:
-            di = d_poly(i, field, degree_limit)
-            for _ in range(ni):
-                result = result * di
+            result = result * d_poly(i, field, degree_limit) ** ni
     return result
 
 

@@ -122,7 +122,8 @@ def digit_counts(n: int, ctx: ResidueCtx) -> list[int]:
 
 def _check_ring(ctx: ResidueCtx, *parts):
     """Raise ValueError unless each cache or table given has ctx's root (and prime)."""
-    if any(p is not None and p.ctx.primitive_root != ctx.primitive_root for p in parts):
+    if any(p is not None and p.ctx is not ctx and p.ctx.primitive_root != ctx.primitive_root
+           for p in parts):
         raise ValueError("a cache or table belongs to another ring or primitive root")
 
 

@@ -27,12 +27,22 @@ multipoint Kronecker substitution", J. Symb. Comput. 2009).  Over F_q with
 q = p^s, s > 1, the substitution has two variables (von zur Gathen and
 Gerhard, Modern Computer Algebra, section 8.4): each coefficient spreads its
 s base-p coordinates over a block of 2s - 1 slots, and the u^s .. u^(2s-2)
-slots of the product are folded back by the field's reduction rows.  Every
-division takes the quotient from a Newton inverse of the reversed divisor,
-so it is a few such products too.  The divisor keeps that inverse, grown to
-the longest quotient asked of it so far, so repeated divisions by one modulus
-(powmod, a residue ring's prime) invert it once.  Coefficients stay Python
-ints throughout, so any prime p works.
+slots of the product are folded back by the field's reduction rows.  A
+product by the constant 1 is no product at all.  A power reads its exponent
+in base q: as F_q's elements are fixed by c -> c^q, f^q = f(T^q) is a spread
+of f's coefficients, so only each digit's power is multiplied out, by
+square-and-multiply.
+
+Every division takes the quotient from a Newton inverse of the reversed
+divisor, so it is a few such products too.  Each of them is a short product:
+only its low n coefficients are wanted, so the operands are cut to n terms
+and the product int to n blocks before it is unpacked and reduced mod p
+(von zur Gathen and Gerhard, section 9.1).  The remainder a - q * b has
+degree below deg b, so only the low deg b terms of q * b are computed, and
+when they equal a's the division is exact and no subtraction is made.  The
+divisor keeps its inverse, grown to the longest quotient asked of it so far,
+so repeated divisions by one modulus (powmod, a residue ring's prime) invert
+it once.  Coefficients stay Python ints throughout, so any prime p works.
 """
 
 from __future__ import annotations
@@ -88,19 +98,31 @@ def _spread(cs, p, s):
     return out
 
 
-def _kmul(a, b, field):
-    """Coefficients of a * b over F_q, all len(a) + len(b) - 1 of them, for
-    nonempty coefficient sequences a and b (zeros anywhere are allowed).
-    Each coefficient takes a block of 2s - 1 slots (see the module doc)."""
+def _kmul(a, b, field, n=None):
+    """The low n coefficients of a * b over F_q (all len(a) + len(b) - 1 of
+    them when n is None or larger), for nonempty coefficient sequences a and
+    b (zeros anywhere are allowed).  Each coefficient takes a block of 2s - 1
+    slots (see the module doc); a short product drops the terms of a and b
+    from T^n up and the product's slots from block n up before unpacking."""
     p, s = field.p, field.s
-    n, t = len(a) + len(b) - 1, 2 * s - 1
+    t = 2 * s - 1
+    square = b is a  # CPython squares faster
+    full = len(a) + len(b) - 1
+    if n is None or n >= full:
+        n = full
+    else:
+        a = a[:n]
+        b = a if square else b[:n]
     # A slot of the integer product is at most min(len a, len b) * s * (p-1)^2,
     # and the fold adds at most (s - 1) * (p - 1) times that, so no slot
     # carries into the next one.
     w = _slot_width(min(len(a), len(b)) * s * (p - 1) ** 2 * (1 + (s - 1) * (p - 1)))
     x = _pack(_spread(a, p, s), w)
-    y = x if b is a else _pack(_spread(b, p, s), w)  # CPython squares faster
-    vals = _unpack(x * y, n * t, w)
+    y = x if square else _pack(_spread(b, p, s), w)
+    z = x * y
+    if n < full:
+        z &= (1 << 8 * w * n * t) - 1
+    vals = _unpack(z, n * t, w)
     if s == 1:
         return [c % p for c in vals]
     # The fold is linear, so it runs once on whole columns, column k packing
@@ -120,8 +142,8 @@ def _inverse_series(f, n, field):
     while k < n:
         k2 = min(2 * k, n)
         # f * g = 1 + T^k * e mod T^k2, so g - T^k * g * e is right mod T^k2.
-        e = _kmul(f[:k2], g, field)[k:k2]
-        g += field._lincomb([0] * (k2 - k), _kmul(g[: k2 - k], e, field), -1)
+        e = _kmul(f, g, field, k2)[k:]
+        g += field._lincomb([0] * (k2 - k), _kmul(g, e, field, k2 - k), -1)
         k = k2
     return g
 
@@ -256,12 +278,33 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(f)
+        if a == (1,):
+            return other
+        if b == (1,):
+            return self
         return Poly._mk(f, tuple(_kmul(a, b, f)))
 
+    def _frobenius(self):
+        """self^q = self(T^q), as F_q's elements are fixed by c -> c^q."""
+        cs, q = self.coeffs, self.field.q
+        out = [0] * ((len(cs) - 1) * q + 1)  # [] for the zero polynomial
+        out[::q] = cs
+        return Poly._mk(self.field, tuple(out))
+
     def __pow__(self, e):
+        """self^e from e's base-q digits r_j: the product of the powers
+        (self^(q^j))^(r_j), each self^(q^j) one Frobenius spread of the last."""
         if e < 0:
             raise ValueError("negative polynomial powers are not defined in A")
-        return power(self, e, Poly.one(self.field), mul)
+        one = Poly.one(self.field)
+        result, base = one, self
+        while True:
+            e, r = divmod(e, self.field.q)
+            if r:
+                result = result * power(base, r, one, mul)
+            if not e:
+                return result
+            base = base._frobenius()
 
     def __divmod__(self, other):
         self._same_ring(other)
@@ -277,11 +320,14 @@ class Poly:
         inv = getattr(other, "_inv", ())
         if len(inv) < nq:
             inv = other._inv = _inverse_series(b[::-1], nq, f)
-        quo = _kmul(a[::-1][:nq], inv[:nq], f)[nq - 1 :: -1]
-        # r = a - q * b has degree < db, so only the low db terms are needed.
-        rem = f._lincomb(a[:db], _kmul(quo[:db], b[:db], f), -1) if db else []
-        if not any(rem):  # an exact division: drop the zeros at once
-            rem = []
+        quo = _kmul(a[::-1], inv, f, nq)[::-1]
+        # r = a - q * b has degree < db, so only the low db terms are needed,
+        # and the division is exact when they agree with a's.
+        rem = []
+        if db:
+            low = _kmul(quo, b, f, db)
+            if tuple(low) != a[:db]:
+                rem = f._lincomb(a[:db], low, -1)
         while rem and rem[-1] == 0:
             rem.pop()
         return Poly._mk(f, tuple(quo)), Poly._mk(f, tuple(rem))

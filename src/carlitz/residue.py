@@ -13,10 +13,13 @@ Residues also have a canonical integer encoding sum(enc(c_i) * q^i) in
 [0, q^h), which indexes the discrete-log table and keys every cache.
 
 The unit group is cyclic of order q^h - 1.  A ResidueCtx fixes one
-generator ("primitive root"): either a validated caller choice or the first
-primitive element when candidates are ordered by ascending integer encoding
-(equivalently by degree, then coefficient tuple).  The first discrete log
-builds the full table, or above a limit the baby steps that later logs share.
+generator ("primitive root"): either a caller choice, validated at
+construction, or the first primitive element when candidates are ordered by
+ascending integer encoding (equivalently by degree, then coefficient tuple).
+The searched root and the factored group order it needs are found on first
+use, so products, powers and the residue binomials and factorials of
+DigitBinomCache never factor q^h - 1.  The first discrete log builds the
+full table, or above a limit the baby steps that later logs share.
 """
 
 from __future__ import annotations
@@ -133,7 +136,6 @@ class ResidueCtx:
         self.q = self.field.q
         self.base = self.q**self.h
         self.group_order = self.base - 1
-        self.factors = factorize(self.group_order) if self.group_order > 1 else []
         self.key = (self.field, prime.coeffs)
 
         # Over F_p, T^k mod prime for k = h .. 2h-2: enough to fold any
@@ -154,19 +156,25 @@ class ResidueCtx:
                     f"{primitive_root} is not a primitive root mod {prime}: "
                     f"its order is {order}, not {self.group_order}"
                 )
-            self.primitive_root = cand
-        else:
-            self.primitive_root = self._find_primitive_root()
+            self.primitive_root = cand  # shadows the searched root below
         self._dlog_table_limit = dlog_table_limit
 
     # -- construction helpers ------------------------------------------------
+
+    @cached_property
+    def factors(self) -> list:
+        """The factored group order q^h - 1, as (prime, exponent) pairs."""
+        return factorize(self.group_order) if self.group_order > 1 else []
 
     def _is_primitive(self, r: Residue) -> bool:
         if not r:
             return False
         return all(r ** (self.group_order // ell) != self.one for ell, _ in self.factors)
 
-    def _find_primitive_root(self) -> Residue:
+    @cached_property
+    def primitive_root(self) -> Residue:
+        """The first primitive element by ascending integer encoding, searched
+        on first use; a caller's root, checked at construction, replaces it."""
         # A constant's order divides q - 1, so for h >= 2 start at T (encoding q).
         for e in range(1 if self.h == 1 else self.q, self.base):
             cand = self.from_enc(e)
@@ -248,4 +256,5 @@ class ResidueCtx:
         return str(self.primitive_root ** j)
 
     def __repr__(self):
-        return f"ResidueCtx(prime={self.prime}, q={self.q}, root={self.primitive_root})"
+        root = self.__dict__.get("primitive_root", "unsearched")  # no search for a repr
+        return f"ResidueCtx(prime={self.prime}, q={self.q}, root={root})"

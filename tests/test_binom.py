@@ -27,9 +27,9 @@ def test_d_poly_goldens(f3, f2):
     assert d_poly(3, f2).degree == 24
 
 
-def test_d_poly_against_definition(f3, f2, f4):
+def test_d_poly_against_definition(f3, f2, f4, f9):
     # Oracle: build prod (T^(q^i) - T^(q^r)) with plain ring multiplication.
-    for field in (f2, f3, f4):
+    for field in (f2, f3, f4, Field(5), f9):
         q = field.q
         for i in range(3):
             expect = Poly.one(field)

@@ -402,6 +402,37 @@ def test_kronecker_product_matches_schoolbook(p):
     assert widths == expected[p]
 
 
+@pytest.mark.parametrize("p, s", [(2, 1), (3, 1), (2, 2), (3, 2), (65537, 1),
+                                  (4294967311, 1)])
+def test_short_product_is_the_low_part(p, s):
+    # A short product keeps the low n coefficients of the full one, for n
+    # below, at and above its length; 4294967311 needs slots wider than 8 bytes.
+    field = Field(p, s)
+    rng = random.Random(67 + p * s)
+    for la, lb in [(1, 1), (1, 7), (7, 1), (5, 9), (40, 40), (300, 77)]:
+        a = [rng.randrange(field.q) for _ in range(la)]
+        b = [rng.randrange(field.q) for _ in range(lb)]
+        full = polyring._kmul(a, b, field)
+        assert len(full) == la + lb - 1
+        for n in sorted({1, 2, lb, la + lb - 2, la + lb - 1, la + lb, 2 * (la + lb)} - {0}):
+            assert polyring._kmul(a, b, field, n) == full[:n], (la, lb, n)
+        assert polyring._kmul(a, a, field, la) == polyring._kmul(a, a, field)[:la]
+
+
+def test_divmod_remainder_at_either_end(f2, f3, f4, f9):
+    # The exactness test compares only the low db terms, so a remainder
+    # nonzero only at T^0 or only at T^(db-1) must still be found.
+    rng = random.Random(71)
+    for field in (f2, f3, f4, f9, Field(65537)):
+        for lq, lb in [(1, 2), (5, 3), (60, 40), (300, 9)]:
+            b, q = nonzero_poly(field, lb, rng), nonzero_poly(field, lq, rng)
+            db = lb - 1
+            for k in (0, db - 1):
+                r = Poly.monomial(field, k, rng.randrange(1, field.q))
+                assert divmod(q * b + r, b) == (q, r), (field.q, lq, lb, k)
+            assert divmod(q * b, b) == (q, Poly.zero(field))
+
+
 def test_extension_field_product_unchanged(f4):
     # The two-variable Kronecker product equals schoolbook over Field arithmetic.
     rng = random.Random(29)
@@ -463,29 +494,51 @@ def test_large_prime_split_cubic_is_reducible():
         assert not is_irreducible(linears[0] * linears[1] * linears[2])
 
 
-def test_pow_matches_repeated_product(f3, f4, monkeypatch):
+def test_pow_matches_repeated_product(f2, f3, f4, f9, monkeypatch):
     rng = random.Random(43)
-    for field in (f3, f4):
+    for field in (f2, f3, f4, f9):
         base = nonzero_poly(field, 6, rng)
         naive = Poly.one(field)
-        for e in range(10):
-            assert base**e == naive
+        for e in range(3 * field.q):  # one, two and three base-q digits
+            assert base**e == naive, (field.q, e)
             naive = naive * base
-    squarings = []
-    mul = Poly.__mul__
+    squarings, kmuls = [], []
+    mul, kmul = Poly.__mul__, polyring._kmul
 
     def counting_mul(self, other):
         if self is other:
             squarings.append(self)
         return mul(self, other)
 
-    base = nonzero_poly(f3, 6, rng)
+    def counts(power, expect):
+        squarings.clear()
+        kmuls.clear()
+        assert power() == expect
+        return len(squarings), len(kmuls)
+
+    base, base4 = nonzero_poly(f3, 6, rng), nonzero_poly(f4, 6, rng)
     fourth = base * base * base * base
+    eighth4 = base4 * base4 * base4 * base4 * base4 * base4 * base4 * base4
     monkeypatch.setattr(Poly, "__mul__", counting_mul)
-    assert base**1 == base
-    assert squarings == []  # no squaring after the exponent's last bit
-    assert base**4 == fourth
-    assert len(squarings) == 2
+    monkeypatch.setattr(polyring, "_kmul", lambda *args: kmuls.append(None) or kmul(*args))
+    # No squaring after the exponent's last bit, and no product by one.
+    assert counts(lambda: base**1, base) == (0, 0)
+    assert counts(lambda: base**2, base * base) == (1, 1)
+    # 4 = 11 in base 3: base * base(T^3), one product and no squaring.
+    assert counts(lambda: base**4, fourth) == (0, 1)
+    # 8 = 20 in base 4: the square of base(T^4).
+    assert counts(lambda: base4**8, eighth4) == (1, 1)
+
+
+def test_product_by_one_makes_no_kronecker_product(f2, f3, f4, f9, monkeypatch):
+    rng = random.Random(61)
+    kmuls = []
+    kmul = polyring._kmul
+    monkeypatch.setattr(polyring, "_kmul", lambda *args: kmuls.append(None) or kmul(*args))
+    for field in (f2, f3, f4, f9):
+        a, one = nonzero_poly(field, 9, rng), Poly.one(field)
+        assert a * one == a and one * a == a and one * one == one
+    assert kmuls == []
 
 
 def field_schoolbook(a, b, field):

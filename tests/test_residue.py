@@ -3,8 +3,8 @@ from math import isqrt
 
 import pytest
 
-from carlitz import (DigitBinomCache, Field, Poly, Residue, ResidueCtx, find_irreducible,
-                     parse_poly, polyring)
+from carlitz import (DigitBinomCache, Field, Poly, Residue, ResidueCtx, binom_exact,
+                     factorial_exact, find_irreducible, parse_poly, polyring, residue)
 from carlitz.intfactor import factorize, is_prime
 
 
@@ -228,6 +228,27 @@ def test_ctx_takes_no_log_work_before_the_first_dlog(f2, mul_calls):
     cache.binom(10**12, 10**11)
     cache.factorial(12345)
     assert len(mul_calls) <= 200
+
+
+def test_binom_and_factorial_never_factor_the_group_order(f2, monkeypatch):
+    # 2^137 - 1 is slow to factor, and binom and factorial need neither its
+    # factors nor a primitive root.
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(residue, "factorize", refuse)
+    ctx = ResidueCtx(parse_poly("T^137+T^8+T^5+T^4+T^3+T^2+1", f2))
+    cache = DigitBinomCache(ctx)
+    assert "unsearched" in repr(ctx)
+    assert str(cache.binom(123456789, 1234)) == (
+        "T^133+T^132+T^128+T^125+T^124+T^123+T^122+T^120+T^119+T^118+T^117+T^115"
+        "+T^114+T^111+T^6+T^3")
+    rng = random.Random(73)
+    for n in [0, 1, 7, 255, 1000] + [rng.randrange(10**4) for _ in range(3)]:
+        m = rng.randrange(n + 1)
+        assert cache.binom(n, m) == ctx.reduce(binom_exact(n, m, f2)), (n, m)
+        assert cache.factorial(n) == ctx.reduce(factorial_exact(n, f2)), n
+    assert "factors" not in vars(ctx) and "primitive_root" not in vars(ctx)
 
 
 def test_bsgs_shares_its_baby_steps(f2, mul_calls):
