@@ -107,8 +107,6 @@ def _field_from_args(args) -> Field:
         if args.s == 1:
             raise ValueError("--field-modulus only applies when s > 1")
         modulus = parse_upoly(args.field_modulus, args.p)
-        if len(modulus) != args.s + 1:
-            raise ValueError(f"--field-modulus must have degree {args.s}")
     return Field(args.p, args.s, modulus=modulus)
 
 
@@ -184,6 +182,9 @@ def _cmd_check(args, out):
     ctx = _ctx_from_args(args, field)
     if args.max_n < 0:
         raise ValueError("--max-n must be nonnegative")
+    if args.max_n > args.enum_limit:  # refused before any scan, not at n = limit + 1
+        raise GuardrailError(f"brute scan of n = {args.max_n} exceeds the enumeration limit "
+                             f"{args.enum_limit}")
     cache = DigitBinomCache(ctx)
     table = BaseTable(ctx, cache)
     for n in range(args.max_n + 1):

@@ -293,11 +293,12 @@ def from_json_dict(doc: dict) -> Distribution:
     ctx = ResidueCtx(prime, primitive_root=parse_poly(doc["primitive_root"], f))
     if int(doc["group_order"]) != ctx.group_order:
         raise ValueError("group_order does not match the ring")
-    terms = {int(entry["exponent"]): int(entry["count"]) for entry in doc["counts"]}
-    counts = CountPoly.from_terms(terms, ctx.group_order)
+    terms = {}
     for entry in doc["counts"]:
         j = int(entry["exponent"])
         if ctx.label(j) != entry["residue"]:
             raise ValueError(f"residue label mismatch at exponent {j}")
+        terms[j] = int(entry["count"])
+    counts = CountPoly.from_terms(terms, ctx.group_order)
     return Distribution(n=int(doc["n"]), method=doc["method"], counts=counts,
                         zero_count=int(doc["zero_count"]), ctx=ctx)

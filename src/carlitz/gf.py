@@ -101,7 +101,7 @@ class Field:
             self._fold_rows = None
             return
         # polyring imports Field, so it can only be imported once gf is loaded.
-        from .polyring import Poly, find_irreducible, is_irreducible
+        from .polyring import Poly, find_irreducible, is_irreducible, reduction_rows
 
         fp = Field(p)
         if modulus is None:
@@ -115,9 +115,7 @@ class Field:
                 raise ValueError("modulus is reducible")
         self.modulus = m.coeffs
         self.q = p**s  # only now: the search above refuses a huge s first
-        # u^k mod modulus for k = s .. 2s-2: enough to fold any product of
-        # coordinates (see mul).
-        self._fold_rows = [(Poly.monomial(fp, k) % m).coeffs for k in range(s, 2 * s - 1)]
+        self._fold_rows = reduction_rows(m)  # fold any product of coordinates (see mul)
 
     # -- encoding ----------------------------------------------------------
 

@@ -1,16 +1,19 @@
 """Integer primality testing and factoring.
 
 Group orders q^h - 1 need to be factored to find primitive roots and
-element orders.  Trial division up to 10^6 handles everything small;
-what remains is split with Brent's variant of Pollard rho.  All choices
-are deterministic so repeated runs factor the same way.
+element orders.  Trial division up to 10^6 handles everything small; what
+remains is split by Brent's Pollard rho within _RHO_BOUND steps.  All
+choices are deterministic so repeated runs factor the same way.
 """
 
 from __future__ import annotations
 
 import math
 
+from .limits import GuardrailError
+
 _TRIAL_BOUND = 10**6
+_RHO_BOUND = 2**24  # Brent steps, y -> y^2 + c, in one factorize call
 
 # Deterministic Miller-Rabin witnesses, sufficient for n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -19,7 +22,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -44,21 +47,27 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    """Return a nontrivial factor of composite odd n (Brent's cycle finding)."""
-    if n % 2 == 0:
-        return 2
+def _pollard_rho(n: int, steps: int) -> tuple[int, int]:
+    """A nontrivial factor of composite odd n (Brent's cycle finding), and
+    steps plus the Brent steps it took, refused before that passes _RHO_BOUND."""
+    def spend(k):  # k more steps
+        nonlocal steps
+        steps += k
+        if steps > _RHO_BOUND:
+            raise GuardrailError(f"factoring {n} needs more than {_RHO_BOUND} Pollard rho steps")
+        return k
+
     for c in range(1, 1000):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
             x = y
-            for _ in range(r):
+            for _ in range(spend(r)):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(m, r - k)):
+                for _ in range(spend(min(m, r - k))):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
@@ -67,10 +76,11 @@ def _pollard_rho(n: int) -> int:
         if g == n:
             g = 1
             while g == 1:
+                spend(1)
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
-            return g
+            return g, steps
     raise ArithmeticError(f"pollard rho failed to split {n}")
 
 
@@ -86,16 +96,14 @@ def factorize(n: int) -> list[tuple[int, int]]:
             factors[p] = factors.get(p, 0) + 1
             n //= p
     stack = [n] if n > 1 else []
+    steps = 0
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
+        d, steps = _pollard_rho(m, steps)
+        stack += (d, m // d)
     return sorted(factors.items())
 
 

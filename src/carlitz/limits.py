@@ -16,7 +16,7 @@ DEFAULT_ENUM_LIMIT = 10**7
 DEFAULT_CLASS_ENUM_LIMIT = 10**6
 
 # The first discrete log builds a full lookup table while q^h - 1 stays at or
-# below this; above it, ceil(sqrt(q^h - 1)) baby steps shared by later logs.
+# below this; above it, ceil(sqrt(q^h - 1)) shared baby steps, which it bounds too.
 DLOG_TABLE_LIMIT = 2**20
 
 

@@ -389,13 +389,20 @@ def poly_powmod(base: Poly, e: int, mod: Poly) -> Poly:
     return power(base % mod, e, Poly.one(base.field) % mod, lambda x, y: x * y % mod)
 
 
+def reduction_rows(m: Poly) -> list:
+    """x^k mod m for k = deg m .. 2 deg m - 2, the rows of gf's fold, as tuples;
+    the longest quotient is taken first, so m computes its inverse once."""
+    n = m.degree
+    return [(Poly.monomial(m.field, k) % m).coeffs for k in range(2 * n - 2, n - 1, -1)][::-1]
+
+
 # -- irreducibility ----------------------------------------------------------
 
 
 def is_irreducible(f: Poly) -> bool:
     """Rabin's test: f is irreducible over F_q iff T^(q^d) = T mod f and
     gcd(T^(q^(d/l)) - T, f) = 1 for every prime l dividing d = deg f."""
-    if f.degree == NEG_INF or f.degree < 1:
+    if f.degree < 1:  # NEG_INF, the zero polynomial's degree, too
         raise ValueError("irreducibility is only defined for degree >= 1")
     f = f.monic()
     d = f.degree

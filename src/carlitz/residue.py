@@ -7,19 +7,19 @@ is polyring's: sums and negatives are Poly arithmetic on the representative,
 and a ring element, or over F_q with s > 1 a product of two, is reduced by
 Poly division by the prime, which keeps its own Newton inverse between
 divisions.  Over a prime field a product is instead gf's mul_fold, which
-folds the schoolbook product back with the rows T^k mod p, k = h .. 2h-2,
-as that is faster on these short representatives.
+folds the schoolbook product back with polyring's reduction_rows of p, as
+that is faster on these short representatives.
 Residues also have a canonical integer encoding sum(enc(c_i) * q^i) in
 [0, q^h), which indexes the discrete-log table and keys every cache.
 
-The unit group is cyclic of order q^h - 1.  A ResidueCtx fixes one
-generator ("primitive root"): either a caller choice, validated at
-construction, or the first primitive element when candidates are ordered by
-ascending integer encoding (equivalently by degree, then coefficient tuple).
-The searched root and the factored group order it needs are found on first
-use, so products, powers and the residue binomials and factorials of
-DigitBinomCache never factor q^h - 1.  The first discrete log builds the
-full table, or above a limit the baby steps that later logs share.
+The unit group is cyclic of order q^h - 1, so an inverse is a power and a
+generator ("primitive root") is an element of that order.  A ResidueCtx
+fixes one: a caller choice, checked at construction, or else the first by
+ascending integer encoding (that is, by degree, then coefficient tuple),
+searched with the factored q^h - 1 on first use, so products, powers and
+the binomials and factorials of DigitBinomCache never factor q^h - 1.  The
+first discrete log builds the full table, or above the table limit the baby
+steps that later logs share, which that limit also bounds (GuardrailError).
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from operator import mul
 
 from .gf import mul_fold, power
 from .intfactor import factorize
-from .limits import DLOG_TABLE_LIMIT
-from .polyring import NEG_INF, Poly, is_irreducible, poly_xgcd
+from .limits import DLOG_TABLE_LIMIT, GuardrailError
+from .polyring import Poly, is_irreducible, reduction_rows
 from .words import digits_of
 
 
@@ -103,13 +103,7 @@ class Residue:
         return power(self, e % ctx.group_order, ctx.one, mul)
 
     def inverse(self):
-        if not self.coeffs:
-            raise ZeroDivisionError("the zero residue has no inverse")
-        ctx = self.ctx
-        g, x, _ = poly_xgcd(self.rep, ctx.prime)
-        # g is monic; prime is irreducible and rep is nonzero of lower degree,
-        # so g = 1 and x * rep = 1 mod prime.
-        return ctx.reduce(x)
+        return self ** -1  # a unit's order divides q^h - 1 (Lagrange)
 
     def __str__(self):
         return str(self.rep)
@@ -124,7 +118,7 @@ class ResidueCtx:
 
     def __init__(self, prime: Poly, primitive_root: Poly | None = None,
                  dlog_table_limit: int = DLOG_TABLE_LIMIT):
-        if prime.degree == NEG_INF or prime.degree < 1:
+        if prime.degree < 1:
             raise ValueError("the prime must have degree >= 1")
         if not prime.is_monic():
             raise ValueError("the prime must be monic")
@@ -138,24 +132,18 @@ class ResidueCtx:
         self.group_order = self.base - 1
         self.key = (self.field, prime.coeffs)
 
-        # Over F_p, T^k mod prime for k = h .. 2h-2: enough to fold any
-        # product of reps (see _mul).  The longest quotient comes first, so
-        # the prime computes its Newton inverse once.
-        if self.field.s == 1:
-            self._fold_rows = [(Poly.monomial(self.field, k) % prime).coeffs
-                               for k in range(2 * self.h - 2, self.h - 1, -1)][::-1]
+        if self.field.s == 1:  # over F_p, rows to fold any product of reps (see _mul)
+            self._fold_rows = reduction_rows(prime)
 
         self.zero = Residue(self, ())
         self.one = Residue(self, (1,))
 
         if primitive_root is not None:
             cand = self.reduce(primitive_root)
-            if not self._is_primitive(cand):
-                order = self.mult_order(cand) if cand else 0
-                raise ValueError(
-                    f"{primitive_root} is not a primitive root mod {prime}: "
-                    f"its order is {order}, not {self.group_order}"
-                )
+            order = self.mult_order(cand) if cand else 0
+            if order != self.group_order:
+                raise ValueError(f"{primitive_root} is not a primitive root mod {prime}: "
+                                 f"its order is {order}, not {self.group_order}")
             self.primitive_root = cand  # shadows the searched root below
         self._dlog_table_limit = dlog_table_limit
 
@@ -164,23 +152,15 @@ class ResidueCtx:
     @cached_property
     def factors(self) -> list:
         """The factored group order q^h - 1, as (prime, exponent) pairs."""
-        return factorize(self.group_order) if self.group_order > 1 else []
-
-    def _is_primitive(self, r: Residue) -> bool:
-        if not r:
-            return False
-        return all(r ** (self.group_order // ell) != self.one for ell, _ in self.factors)
+        return factorize(self.group_order)
 
     @cached_property
     def primitive_root(self) -> Residue:
         """The first primitive element by ascending integer encoding, searched
         on first use; a caller's root, checked at construction, replaces it."""
         # A constant's order divides q - 1, so for h >= 2 start at T (encoding q).
-        for e in range(1 if self.h == 1 else self.q, self.base):
-            cand = self.from_enc(e)
-            if self._is_primitive(cand):
-                return cand
-        raise ArithmeticError("no primitive root found")  # unreachable
+        cands = map(self.from_enc, range(1 if self.h == 1 else self.q, self.base))
+        return next(r for r in cands if self.mult_order(r) == self.group_order)
 
     # -- residue construction ----------------------------------------------
 
@@ -229,11 +209,15 @@ class ResidueCtx:
         order = self.group_order
         full = order <= self._dlog_table_limit
         m = order if full else isqrt(order - 1) + 1
+        bound = max(self._dlog_table_limit, DLOG_TABLE_LIMIT)
+        if m > bound:
+            raise GuardrailError(f"a discrete log mod {self.prime} needs {m} baby steps, "
+                                 f"above the table limit {bound}")
         steps = [None] * self.base if full else {}
         lookup = steps.__getitem__ if full else steps.get
         for j, r in enumerate(self.powers(m)):
             steps[r.enc] = j
-        return lookup, m, (self.primitive_root ** m).inverse()
+        return lookup, m, self.primitive_root ** -m
 
     def dlog(self, r: Residue) -> int:
         """Exponent j in [0, q^h - 1) with primitive_root^j = r; r must be nonzero."""

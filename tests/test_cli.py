@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import carlitz
-from carlitz import BaseTable, CountPoly, DigitBinomCache, cli, distribution, to_json_dict
+from carlitz import (BaseTable, CountPoly, DigitBinomCache, cli, distribution, intfactor,
+                     to_json_dict)
 from carlitz.cli import main
 
 GOLDEN_1811 = {
@@ -173,6 +174,16 @@ def test_exit_usage_bad_root(capsys):
     assert "not" in err  # explains the order mismatch
 
 
+def test_bad_root_names_its_order(capsys):
+    # One mult_order call both rejects the root and reports its order.
+    for root, order in (("T", 4), ("2", 2), ("T^2+1", 0)):
+        code, out, err = run(
+            ["primroot", "-p", "3", "--prime", "T^2+1", "--primitive-root", root], capsys
+        )
+        assert (code, out) == (2, ""), root
+        assert f"its order is {order}, not 8" in err, root
+
+
 def test_exit_usage_bad_n(capsys):
     assert run(BASE + ["-n", "abc"], capsys)[0] == 2
     assert run(BASE + ["-n", "-5"], capsys)[0] == 2
@@ -227,6 +238,14 @@ def test_exit_usage_field_modulus_on_prime_field(capsys):
     assert code == 2
 
 
+def test_exit_usage_field_modulus_degree(capsys):
+    # Field itself refuses a modulus of the wrong degree.
+    code, out, err = run(["dist", "-p", "2", "-s", "2", "--field-modulus", "u^3+u+1",
+                          "--prime", "T+u", "-n", "5"], capsys)
+    assert (code, out) == (2, "")
+    assert "modulus must be monic of degree 2" in err
+
+
 def test_exit_usage_parse_error(capsys):
     code, _, err = run(["dist", "-p", "3", "--prime", "T^2+u", "-n", "5"], capsys)
     assert code == 2
@@ -245,6 +264,28 @@ def test_exit_guardrail(capsys):
     assert code == 3
     code, _, _ = run(["factorial", "-p", "3", "-n", str(10**9)], capsys)
     assert code == 3
+
+
+def test_check_refuses_max_n_above_enum_limit_before_any_scan(capsys, monkeypatch):
+    scanned = []
+    real = DigitBinomCache.binom_logs
+    monkeypatch.setattr(DigitBinomCache, "binom_logs",
+                        lambda self, n: scanned.append(n) or real(self, n))
+    argv = ["check", "-p", "3", "--prime", "T^2+1", "--enum-limit", "10", "--max-n"]
+    code, out, err = run(argv + ["11"], capsys)
+    assert (code, out, scanned) == (3, "", [])
+    assert "brute scan of n = 11 exceeds the enumeration limit 10" in err
+    code, out, _ = run(argv + ["10"], capsys)
+    assert (code, out) == (0, "OK 11 cases\n")
+    assert 10 in scanned
+
+
+def test_factoring_guardrail_exits_3(capsys, monkeypatch):
+    # 2^67 - 1 takes 13,822 Brent steps to split.
+    monkeypatch.setattr(intfactor, "_RHO_BOUND", 1000)
+    code, out, err = run(["primroot", "-p", "2", "--prime", "T^67+T^5+T^2+T+1"], capsys)
+    assert (code, out) == (3, "")
+    assert "Pollard rho steps" in err
 
 
 def test_exit_guardrail_binom_exact_edge(capsys):

@@ -3,8 +3,9 @@ from math import isqrt
 
 import pytest
 
-from carlitz import (DigitBinomCache, Field, Poly, Residue, ResidueCtx, binom_exact,
-                     factorial_exact, find_irreducible, parse_poly, polyring, residue)
+from carlitz import (DigitBinomCache, Field, GuardrailError, Poly, Residue, ResidueCtx,
+                     binom_exact, factorial_exact, find_irreducible, intfactor, parse_poly,
+                     polyring, residue)
 from carlitz.intfactor import factorize, is_prime
 
 
@@ -22,6 +23,14 @@ def test_factorize():
             assert is_prime(p)
             prod *= p**k
         assert prod == n
+
+
+def test_factorize_work_bound(monkeypatch):
+    # 2^67 - 1 = 193707721 * 761838257287 takes 13,822 Brent steps.
+    assert factorize(2**67 - 1) == [(193707721, 1), (761838257287, 1)]
+    monkeypatch.setattr(intfactor, "_RHO_BOUND", 1000)
+    with pytest.raises(GuardrailError, match="more than 1000 Pollard rho steps"):
+        factorize(2**67 - 1)
 
 
 def test_ctx_basics(ctx9):
@@ -71,13 +80,13 @@ def test_primitive_root_goldens(f2, f3):
 def test_primitive_root_search_skips_constants(f2, f3, f4, monkeypatch):
     # For h >= 2 a constant's order divides q - 1, so none is ever tried.
     tried = []
-    is_primitive = ResidueCtx._is_primitive
+    mult_order = ResidueCtx.mult_order
 
     def recording(self, r):
         tried.append(r)
-        return is_primitive(self, r)
+        return mult_order(self, r)
 
-    monkeypatch.setattr(ResidueCtx, "_is_primitive", recording)
+    monkeypatch.setattr(ResidueCtx, "mult_order", recording)
     for prime_text, field, root in [("T^2+1", f3, "T+1"), ("T^3+T+1", f2, "T"),
                                     ("T^2+T+(u)", f4, "T")]:
         tried.clear()
@@ -251,6 +260,22 @@ def test_binom_and_factorial_never_factor_the_group_order(f2, monkeypatch):
     assert "factors" not in vars(ctx) and "primitive_root" not in vars(ctx)
 
 
+def test_baby_steps_are_bounded(f2, mul_calls, monkeypatch):
+    # T^15+T+1 needs ceil(sqrt(2^15 - 1)) = 182 baby steps: refused before the
+    # first one above a limit of 100, and taken at a limit of 182.
+    for limit in (100, 181, 182):
+        monkeypatch.setattr(residue, "DLOG_TABLE_LIMIT", limit)
+        ctx = ResidueCtx(parse_poly("T^15+T+1", f2), dlog_table_limit=0)
+        r = ctx.primitive_root ** 1000
+        mul_calls.clear()
+        if limit < 182:
+            with pytest.raises(GuardrailError, match="needs 182 baby steps"):
+                ctx.dlog(r)
+            assert mul_calls == []
+        else:
+            assert ctx.dlog(r) == 1000
+
+
 def test_bsgs_shares_its_baby_steps(f2, mul_calls):
     # After the first log, each log is giant steps only: at most
     # ceil(sqrt(L)) + 1 products.
@@ -281,13 +306,15 @@ def test_mult_order(ctx9, f3):
 
 def test_pow_negative_and_reduction(ctx9):
     g = ctx9.primitive_root
-    assert g**-1 == g.inverse()
-    assert g**-3 == (g**3).inverse()
+    assert g**-1 * g == ctx9.one
+    assert g**-3 * g**3 == ctx9.one
     assert g**11 == g**3  # exponents reduce mod the group order
     assert ctx9.zero**0 == ctx9.one
     assert (ctx9.zero**5).is_zero()
     with pytest.raises(ZeroDivisionError):
         ctx9.zero**-1
+    with pytest.raises(ZeroDivisionError):
+        ctx9.zero.inverse()
 
 
 def test_pow_skips_the_last_squaring(ctx9, monkeypatch):
