@@ -22,6 +22,7 @@ n + 1 - G_n(1) and is reported separately.
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
 from operator import mul
 
 from .binom import DigitBinomCache
@@ -167,17 +168,15 @@ def base_table(ctx: ResidueCtx, cache: DigitBinomCache) -> list[CountPoly]:
 
 def gn_fast(n: int, ctx: ResidueCtx, cache: DigitBinomCache,
             table: BaseTable | None = None) -> CountPoly:
-    """G_n(x) via the digit-product identity; polylogarithmic in n."""
+    """G_n(x) = prod_d G_d(x)^(c_d(n)) over the distinct base-q^h digits d of n;
+    polylogarithmic in n."""
     if n < 0:
         raise ValueError("distributions need n >= 0")
     _check_ring(ctx, cache, table)
     if table is None:
         table = BaseTable(ctx, cache)
-    result = CountPoly.one(ctx.group_order)
-    for d, c in enumerate(digit_counts(n, ctx)):
-        if c:
-            result = result * table.gpoly(d) ** c
-    return result
+    digits = Counter(digits_of(n, ctx.base))
+    return reduce(mul, (table.gpoly(d) ** c for d, c in digits.items()))
 
 
 class Distribution:

@@ -288,6 +288,15 @@ def test_factoring_guardrail_exits_3(capsys, monkeypatch):
     assert "Pollard rho steps" in err
 
 
+@pytest.mark.parametrize("method", ["fast", "brute"])
+def test_dist_refuses_dlogs_at_degree_64(capsys, method):
+    # 2^32 baby steps are refused before any object of length 2^64 - 1.
+    argv = ["dist", "-p", "2", "--prime-degree", "64", "-n", "5", "--method", method]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert "needs 4294967296 baby steps" in err
+
+
 def test_exit_guardrail_binom_exact_edge(capsys):
     # deg 6561!_C = 52,488 over F_3: one below it exits 3, at it the answer prints.
     argv = ["binom", "-p", "3", "-n", "6561", "-m", "1", "--exact", "--degree-limit"]

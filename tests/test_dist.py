@@ -426,11 +426,11 @@ def test_json_round_trip_extension(small_rings):
 def test_json_validation(ctx9, cache9):
     good = to_json_dict(distribution(3, ctx9, cache9))
     bad = dict(good, group_order="7")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="group_order does not match the ring"):
         from_json_dict(bad)
     bad = dict(good)
     bad["counts"] = [dict(good["counts"][0], residue="T+2")]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="residue label mismatch at exponent 0"):
         from_json_dict(bad)
 
 
