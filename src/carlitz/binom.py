@@ -8,7 +8,8 @@ Carlitz factorial of n = sum n_i q^i (base q) is n!_C = prod D_i^(n_i), and
 is again an element of A.  As D_i^(min(n_i, m_i + (n-m)_i)) cancels, with
 e_i = n_i - m_i - (n-m)_i binom_exact divides only prod_{e_i>0} D_i^(e_i) by
 prod_{e_i<0} D_i^(-e_i) (a nonzero remainder is an internal error).  Both
-exact routines first check deg n!_C against a degree guardrail.
+exact routines first check deg n!_C against a degree guardrail.  They and
+DigitBinomCache.factorial (with the D_i mod p) share one prod D_i^(e_i).
 
 With [k] = T^(q^k) - T, so that D_i = [i] * D_{i-1}^q = [i] * D_{i-1}(T^q)
 (F_q coefficients are fixed by Frobenius), the binomial is also
@@ -25,7 +26,7 @@ m <= n, by its carries alone.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import islice, zip_longest
+from itertools import zip_longest
 
 from .gf import Field
 from .limits import DEFAULT_EXACT_DEGREE_LIMIT, GuardrailError
@@ -64,17 +65,24 @@ def _factorial_digits(n: int, q: int, degree_limit: int) -> list:
     return digits
 
 
+def _d_powers(exps, d, one):
+    """one * prod d(i)^(e_i), ascending, over the i >= 1 with e_i > 0 (D_0 = 1)."""
+    result = one
+    for i, e in enumerate(exps):
+        if e > 0 and i:
+            result = result * d(i) ** e
+    return result
+
+
 def factorial_exact(n: int, field: Field,
                     degree_limit: int = DEFAULT_EXACT_DEGREE_LIMIT) -> Poly:
     """The Carlitz factorial n!_C as an exact polynomial: one power
     D_i^(n_i) per nonzero base-q digit."""
     if n < 0:
         raise ValueError("factorial needs n >= 0")
-    result = Poly.one(field)
-    for i, ni in enumerate(_factorial_digits(n, field.q, degree_limit)):
-        if ni and i:
-            result = result * d_poly(i, field, degree_limit) ** ni
-    return result
+    # d_poly positionally, so its cache hits the entries its recursion fills.
+    return _d_powers(_factorial_digits(n, field.q, degree_limit),
+                     lambda i: d_poly(i, field, degree_limit), Poly.one(field))
 
 
 def binom_exact(n: int, m: int, field: Field,
@@ -86,16 +94,11 @@ def binom_exact(n: int, m: int, field: Field,
     if m > n:
         return Poly.zero(field)
     q = field.q
-    num = den = Poly.one(field)
     digits = zip_longest(_factorial_digits(n, q, degree_limit),
                          digits_of(m, q), digits_of(n - m, q), fillvalue=0)
-    for i, (ni, mi, ri) in enumerate(islice(digits, 1, None), 1):  # D_0 = 1
-        e = ni - mi - ri
-        if e > 0:
-            num = num * d_poly(i, field, degree_limit) ** e
-        elif e < 0:
-            den = den * d_poly(i, field, degree_limit) ** -e
-    quot, rem = divmod(num, den)
+    exps = [ni - mi - ri for ni, mi, ri in digits]
+    d, one = (lambda i: d_poly(i, field, degree_limit)), Poly.one(field)
+    quot, rem = divmod(_d_powers(exps, d, one), _d_powers([-e for e in exps], d, one))
     if rem:
         raise ArithmeticError(
             f"binom({n}, {m})_C is not integral: division left remainder {rem}")
@@ -191,11 +194,7 @@ class DigitBinomCache:
         divisible by the prime, so this reports the zero residue."""
         if n < 0:
             raise ValueError("factorial needs n >= 0")
-        ctx = self.ctx
-        result = ctx.one
-        for i, ni in enumerate(digits_of(n, ctx.q)):
-            if ni:
-                if i >= ctx.h:
-                    return ctx.zero
-                result = result * self.d_mod[i] ** ni
-        return result
+        digits = digits_of(n, self.ctx.q)
+        if len(digits) > self.ctx.h:
+            return self.ctx.zero
+        return _d_powers(digits, self.d_mod.__getitem__, self.ctx.one)

@@ -27,7 +27,7 @@ from .limits import (
     DEFAULT_EXACT_DEGREE_LIMIT,
     GuardrailError,
 )
-from .polyring import ParseError, Poly, find_irreducible, is_irreducible, parse_poly, parse_upoly
+from .polyring import find_irreducible, is_irreducible, parse_poly, parse_upoly
 from .residue import ResidueCtx
 
 EXIT_OK = 0
@@ -111,17 +111,16 @@ def _field_from_args(args) -> Field:
 
 
 def _ctx_from_args(args, field: Field) -> ResidueCtx:
-    prime_degree = getattr(args, "prime_degree", None)
-    if getattr(args, "prime", None) and prime_degree is not None:
+    if args.prime and args.prime_degree is not None:
         raise ValueError("give either --prime or --prime-degree, not both")
-    if getattr(args, "prime", None):
+    if args.prime:
         prime = parse_poly(args.prime, field)
-    elif prime_degree is not None:
-        prime = find_irreducible(prime_degree, field)
+    elif args.prime_degree is not None:
+        prime = find_irreducible(args.prime_degree, field)
     else:
         raise ValueError("a prime is required: pass --prime or --prime-degree")
     root = None
-    if getattr(args, "primitive_root", None):
+    if args.primitive_root:
         root = parse_poly(args.primitive_root, field)
     return ResidueCtx(prime, primitive_root=root)
 
@@ -268,7 +267,7 @@ def main(argv=None) -> int:
     except GuardrailError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_GUARDRAIL
-    except (ParseError, ValueError, ArithmeticError, ZeroDivisionError) as e:
+    except (ValueError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as e:

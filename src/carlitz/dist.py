@@ -133,6 +133,7 @@ class BaseTable:
 
     def __init__(self, ctx: ResidueCtx, cache: DigitBinomCache):
         _check_ring(ctx, cache)
+        ctx._baby_step_count  # GuardrailError on a ring whose logs are refused
         self.ctx = ctx
         self.cache = cache
         self._rows: dict[int, tuple] = {}
@@ -173,6 +174,7 @@ def gn_fast(n: int, ctx: ResidueCtx, cache: DigitBinomCache,
     if n < 0:
         raise ValueError("distributions need n >= 0")
     _check_ring(ctx, cache, table)
+    ctx._baby_step_count  # refused even for an n with no carry, which takes no log
     if table is None:
         table = BaseTable(ctx, cache)
     digits = Counter(digits_of(n, ctx.base))
@@ -236,6 +238,7 @@ def distribution_brute(n: int, ctx: ResidueCtx, cache: DigitBinomCache,
     if n > limit:
         raise GuardrailError(f"brute scan of n = {n} exceeds the enumeration limit {limit}")
     _check_ring(ctx, cache, table)
+    ctx._baby_step_count  # as in gn_fast, before a list of length q^h - 1
     hist = Counter(cache.binom_logs(n))
     zero_count = hist.pop(None, 0)
     return Distribution(n=n, method="brute",

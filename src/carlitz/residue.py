@@ -202,17 +202,25 @@ class ResidueCtx:
         return order
 
     @cached_property
-    def _baby_steps(self):
-        """(lookup, m, root^-m) with lookup(enc(root^j)) = j for j < m.  Up to the
-        table limit m = q^h - 1, in a list by encoding (a dict took 2 MiB more
-        peak memory on T^15+T+1); above it m = ceil(sqrt(q^h - 1)), in a dict."""
+    def _baby_step_count(self) -> int:
+        """The m baby steps a discrete log takes: q^h - 1 up to the table limit,
+        ceil(sqrt(q^h - 1)) above it; GuardrailError past the bound, so a
+        census can refuse the ring before it builds anything of length q^h - 1."""
         order = self.group_order
-        full = order <= self._dlog_table_limit
-        m = order if full else isqrt(order - 1) + 1
+        m = order if order <= self._dlog_table_limit else isqrt(order - 1) + 1
         bound = max(self._dlog_table_limit, DLOG_TABLE_LIMIT)
         if m > bound:
             raise GuardrailError(f"a discrete log mod {self.prime} needs {m} baby steps, "
                                  f"above the table limit {bound}")
+        return m
+
+    @cached_property
+    def _baby_steps(self):
+        """(lookup, m, root^-m) with lookup(enc(root^j)) = j for j < m.  Up to the
+        table limit m = q^h - 1, in a list by encoding (a dict took 2 MiB more
+        peak memory on T^15+T+1); above it m = ceil(sqrt(q^h - 1)), in a dict."""
+        m = self._baby_step_count
+        full = self.group_order <= self._dlog_table_limit
         steps = [None] * self.base if full else {}
         lookup = steps.__getitem__ if full else steps.get
         for j, r in enumerate(self.powers(m)):

@@ -301,11 +301,14 @@ def test_binom_mod_errors(cache9):
         cache9.binom(3, -2)
 
 
-def test_factorial_mod(ctx9, cache9, f3):
-    for n in range(9):  # digits stay below h, so the residue is the reduction
-        assert cache9.factorial(n) == ctx9.reduce(factorial_exact(n, f3))
-    assert cache9.factorial(9).is_zero()  # 9!_C = D_2 is divisible by T^2+1
-    assert ctx9.reduce(factorial_exact(9, f3)).is_zero()
+def test_factorial_mod(small_rings):
+    # Below q^h the digits stay below h and the residue is a unit; from q^h on
+    # n!_C has a factor D_i, i >= h, divisible by the prime, so it is zero.
+    for ctx, cache in small_rings:
+        for n in range(ctx.base + ctx.q + 1):
+            want = ctx.reduce(factorial_exact(n, ctx.field))
+            assert cache.factorial(n) == want, (ctx.prime, n)
+            assert want.is_zero() == (n >= ctx.base), (ctx.prime, n)
 
 
 def test_digitwise_congruence_statement(ctx9, cache9, f3):

@@ -288,10 +288,16 @@ def test_factoring_guardrail_exits_3(capsys, monkeypatch):
     assert "Pollard rho steps" in err
 
 
-@pytest.mark.parametrize("method", ["fast", "brute"])
-def test_dist_refuses_dlogs_at_degree_64(capsys, method):
-    # 2^32 baby steps are refused before any object of length 2^64 - 1.
-    argv = ["dist", "-p", "2", "--prime-degree", "64", "-n", "5", "--method", method]
+DEGREE_64 = ["-p", "2", "--prime-degree", "64"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["dist"] + DEGREE_64 + ["-n", n, "--method", method], id=method + suffix)
+    for n, suffix in (("5", ""), ("1", "-n1")) for method in ("fast", "brute")
+] + [pytest.param(["check"] + DEGREE_64 + ["--max-n", "1"], id="check-n1")])
+def test_dist_refuses_dlogs_at_degree_64(capsys, argv):
+    # 2^32 baby steps are refused before any object of length 2^64 - 1, also
+    # for an n with no base-q carry, which takes no discrete log.
     code, out, err = run(argv, capsys)
     assert (code, out) == (3, "")
     assert "needs 4294967296 baby steps" in err
