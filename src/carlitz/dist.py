@@ -122,10 +122,13 @@ def digit_counts(n: int, ctx: ResidueCtx) -> list[int]:
 
 
 def _check_ring(ctx: ResidueCtx, *parts):
-    """Raise ValueError unless each cache or table given has ctx's root (and prime)."""
+    """Raise ValueError unless each cache or table given has ctx's root (and prime),
+    and GuardrailError if ctx refuses discrete logs: checked for every n, even one
+    with no carry and so no log, before anything of length q^h - 1 is built."""
     if any(p is not None and p.ctx is not ctx and p.ctx.primitive_root != ctx.primitive_root
            for p in parts):
         raise ValueError("a cache or table belongs to another ring or primitive root")
+    ctx._baby_step_count
 
 
 class BaseTable:
@@ -133,7 +136,6 @@ class BaseTable:
 
     def __init__(self, ctx: ResidueCtx, cache: DigitBinomCache):
         _check_ring(ctx, cache)
-        ctx._baby_step_count  # GuardrailError on a ring whose logs are refused
         self.ctx = ctx
         self.cache = cache
         self._rows: dict[int, tuple] = {}
@@ -174,7 +176,6 @@ def gn_fast(n: int, ctx: ResidueCtx, cache: DigitBinomCache,
     if n < 0:
         raise ValueError("distributions need n >= 0")
     _check_ring(ctx, cache, table)
-    ctx._baby_step_count  # refused even for an n with no carry, which takes no log
     if table is None:
         table = BaseTable(ctx, cache)
     digits = Counter(digits_of(n, ctx.base))
@@ -238,7 +239,6 @@ def distribution_brute(n: int, ctx: ResidueCtx, cache: DigitBinomCache,
     if n > limit:
         raise GuardrailError(f"brute scan of n = {n} exceeds the enumeration limit {limit}")
     _check_ring(ctx, cache, table)
-    ctx._baby_step_count  # as in gn_fast, before a list of length q^h - 1
     hist = Counter(cache.binom_logs(n))
     zero_count = hist.pop(None, 0)
     return Distribution(n=n, method="brute",
