@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 from itertools import zip_longest
 
 from .gf import Field
-from .limits import DEFAULT_EXACT_DEGREE_LIMIT, GuardrailError
+from .limits import DEFAULT_EXACT_DEGREE_LIMIT, refuse_above
 from .polyring import Poly
 from .residue import Residue, ResidueCtx
 from .words import digits_of
@@ -44,8 +44,7 @@ def d_poly(i: int, field: Field, degree_limit: int = DEFAULT_EXACT_DEGREE_LIMIT)
         return Poly.one(field)
     q = field.q
     deg = i * q**i
-    if deg > degree_limit:
-        raise GuardrailError(f"deg D_{i} = {deg} exceeds the exact-degree limit {degree_limit}")
+    refuse_above(deg, degree_limit, f"deg D_{i} =", "exact-degree limit")
     prev = d_poly(i - 1, field, degree_limit).coeffs
     # D_{i-1}(T^q) * T^(q^i) fills the positions = 0 mod q and
     # -D_{i-1}(T^q) * T those = 1 mod q, so the two never overlap.
@@ -59,9 +58,8 @@ def _factorial_digits(n: int, q: int, degree_limit: int) -> list:
     """n's base-q digits n_i, once deg n!_C = sum n_i * i * q^i is known to
     stay within degree_limit (GuardrailError otherwise)."""
     digits = digits_of(n, q)
-    deg = sum(ni * i * q**i for i, ni in enumerate(digits))
-    if deg > degree_limit:
-        raise GuardrailError(f"deg {n}!_C = {deg} exceeds the exact-degree limit {degree_limit}")
+    refuse_above(sum(ni * i * q**i for i, ni in enumerate(digits)), degree_limit,
+                 f"deg {n}!_C =", "exact-degree limit")
     return digits
 
 

@@ -22,11 +22,7 @@ import sys
 from .binom import DigitBinomCache, binom_exact, factorial_exact
 from .dist import BaseTable, distribution, gn_fast, to_json_dict
 from .gf import Field
-from .limits import (
-    DEFAULT_ENUM_LIMIT,
-    DEFAULT_EXACT_DEGREE_LIMIT,
-    GuardrailError,
-)
+from .limits import DEFAULT_ENUM_LIMIT, DEFAULT_EXACT_DEGREE_LIMIT, GuardrailError, refuse_above
 from .polyring import find_irreducible, is_irreducible, parse_poly, parse_upoly
 from .residue import ResidueCtx
 
@@ -181,9 +177,8 @@ def _cmd_check(args, out):
     ctx = _ctx_from_args(args, field)
     if args.max_n < 0:
         raise ValueError("--max-n must be nonnegative")
-    if args.max_n > args.enum_limit:  # refused before any scan, not at n = limit + 1
-        raise GuardrailError(f"brute scan of n = {args.max_n} exceeds the enumeration limit "
-                             f"{args.enum_limit}")
+    # refused before any scan, not at n = limit + 1
+    refuse_above(args.max_n, args.enum_limit, "brute scan of n =", "enumeration limit")
     cache = DigitBinomCache(ctx)
     table = BaseTable(ctx, cache)
     for n in range(args.max_n + 1):

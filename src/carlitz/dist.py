@@ -27,7 +27,7 @@ from operator import mul
 
 from .binom import DigitBinomCache
 from .gf import Field, power
-from .limits import DEFAULT_ENUM_LIMIT, GuardrailError
+from .limits import DEFAULT_ENUM_LIMIT, DENSE_CENSUS_LIMIT, refuse_above
 from .polyring import parse_poly, parse_upoly
 from .residue import ResidueCtx
 from .words import digits_of
@@ -115,6 +115,7 @@ def digit_counts(n: int, ctx: ResidueCtx) -> list[int]:
     """Histogram c_d(n) of the base-q^h digits of n (c_0(0) = 1)."""
     if n < 0:
         raise ValueError("digit counts need n >= 0")
+    _check_ring(ctx)
     counts = [0] * ctx.base
     for d in digits_of(n, ctx.base):
         counts[d] += 1
@@ -123,12 +124,13 @@ def digit_counts(n: int, ctx: ResidueCtx) -> list[int]:
 
 def _check_ring(ctx: ResidueCtx, *parts):
     """Raise ValueError unless each cache or table given has ctx's root (and prime),
-    and GuardrailError if ctx refuses discrete logs: checked for every n, even one
-    with no carry and so no log, before anything of length q^h - 1 is built."""
+    and GuardrailError if ctx refuses discrete logs or a census of length q^h - 1: for
+    every n, even one with no carry and so no log, before anything that long is built."""
     if any(p is not None and p.ctx is not ctx and p.ctx.primitive_root != ctx.primitive_root
            for p in parts):
         raise ValueError("a cache or table belongs to another ring or primitive root")
     ctx._baby_step_count
+    refuse_above(ctx.group_order, DENSE_CENSUS_LIMIT, "q^h - 1 =", "dense-census limit")
 
 
 class BaseTable:
@@ -236,8 +238,7 @@ def distribution_brute(n: int, ctx: ResidueCtx, cache: DigitBinomCache,
     """
     if n < 0:
         raise ValueError("distributions need n >= 0")
-    if n > limit:
-        raise GuardrailError(f"brute scan of n = {n} exceeds the enumeration limit {limit}")
+    refuse_above(n, limit, "brute scan of n =", "enumeration limit")
     _check_ring(ctx, cache, table)
     hist = Counter(cache.binom_logs(n))
     zero_count = hist.pop(None, 0)
@@ -293,6 +294,7 @@ def from_json_dict(doc: dict) -> Distribution:
     f = Field(p, s, modulus=modulus)
     prime = parse_poly(doc["prime"], f)
     ctx = ResidueCtx(prime, primitive_root=parse_poly(doc["primitive_root"], f))
+    _check_ring(ctx)
     if int(doc["group_order"]) != ctx.group_order:
         raise ValueError("group_order does not match the ring")
     terms = {}

@@ -54,7 +54,7 @@ from operator import mul
 
 from .gf import Field, fold, power, terms_str
 from .intfactor import prime_factors
-from .limits import DEFAULT_EXACT_DEGREE_LIMIT, GuardrailError
+from .limits import DEFAULT_EXACT_DEGREE_LIMIT, refuse_above
 from .words import digits_of
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
@@ -417,20 +417,12 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def _check_degree(deg):
-    """Refuse a polynomial of degree above DEFAULT_EXACT_DEGREE_LIMIT before
-    anything of that size is built."""
-    if deg > DEFAULT_EXACT_DEGREE_LIMIT:
-        raise GuardrailError(f"degree {deg} exceeds the exact-degree limit "
-                             f"{DEFAULT_EXACT_DEGREE_LIMIT}")
-
-
 def find_irreducible(h: int, field: Field) -> Poly:
     """The first monic irreducible of degree h, taking the coefficient tuple
     (c_0, ..., c_{h-1}) ascending in the canonical integer encoding."""
     if h < 1:
         raise ValueError(f"degree must be >= 1, got {h}")
-    _check_degree(h)  # before q^h and a dense candidate of h + 1 terms
+    refuse_above(h, DEFAULT_EXACT_DEGREE_LIMIT, "degree", "exact-degree limit")  # before q^h
     q = field.q
     for e in range(q**h):
         cs = digits_of(e, q)
@@ -490,7 +482,7 @@ def _read(text, var, field):
         raise ParseError("whitespace inside a number")
     acc = _terms("".join(text.split()), var, field)
     top = max(acc, default=-1)
-    _check_degree(top)
+    refuse_above(top, DEFAULT_EXACT_DEGREE_LIMIT, "degree", "exact-degree limit")
     return Poly(field, [acc.get(k, 0) for k in range(top + 1)])
 
 

@@ -18,7 +18,7 @@ by one scan of their carry logs; the bulk counting lives in dist.
 
 from __future__ import annotations
 
-from .limits import DEFAULT_CLASS_ENUM_LIMIT, GuardrailError
+from .limits import DEFAULT_CLASS_ENUM_LIMIT, refuse_above
 
 
 def digits_of(n: int, base: int) -> list[int]:
@@ -125,7 +125,6 @@ def class_set(word: Word, j: int, cache: DigitBinomCache,
     if word.base != ctx.base:
         raise ValueError(f"word base {word.base} does not match the ring's q^h = {ctx.base}")
     z = word.value()
-    if z > limit:
-        raise GuardrailError(f"class-set scan of z = {z} exceeds the limit {limit}")
+    refuse_above(z, limit, "class-set scan of z =", "limit")
     j %= ctx.group_order
     return {u for u, log in enumerate(cache.binom_logs(z)) if log == j}
