@@ -136,27 +136,22 @@ def _parse_n(text) -> int:
 
 
 def _print_dist(dist, fmt, out):
+    doc = to_json_dict(dist)
     if fmt == "json":
         import json  # only this branch needs it, so other runs start faster
 
-        print(json.dumps(to_json_dict(dist), indent=2), file=out)
+        print(json.dumps(doc, indent=2), file=out)
         return
+    rows = [("exponent", "residue", "count"), *(tuple(e.values()) for e in doc["counts"])]
     if fmt == "csv":
-        print("exponent,residue,count", file=out)
-        for j, c in dist.nonzero_items():
-            print(f"{j},{dist.residue_label(j)},{c}", file=out)
-        print(f"zero_count,,{dist.zero_count}", file=out)
+        for row in [*rows, ("zero_count", "", doc["zero_count"])]:
+            print(",".join(row), file=out)
         return
-    ctx = dist.ctx
-    print(f"n = {dist.n}", file=out)
-    print(f"field: q = {ctx.q} (p = {ctx.field.p}, s = {ctx.field.s})", file=out)
-    print(f"prime = {ctx.prime}   (h = {ctx.h})", file=out)
-    print(f"primitive root = {ctx.primitive_root}   group order = {ctx.group_order}", file=out)
-    print(f"method = {dist.method}", file=out)
-    print(f"{'exponent':>10}  {'residue':<16} {'count'}", file=out)
-    for j, c in dist.nonzero_items():
-        print(f"{j:>10}  {dist.residue_label(j):<16} {c}", file=out)
-    print(f"{'zero':>10}  {'':<16} {dist.zero_count}", file=out)
+    print("n = {n}\nfield: q = {q} (p = {p}, s = {s})\nprime = {prime}   (h = {h})\n"
+          "primitive root = {primitive_root}   group order = {group_order}\nmethod = {method}"
+          .format(q=doc["p"] ** doc["s"], **doc), file=out)
+    for row in [*rows, ("zero", "", doc["zero_count"])]:
+        print("{:>10}  {:<16} {}".format(*row), file=out)
 
 
 # -- commands -------------------------------------------------------------------

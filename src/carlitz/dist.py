@@ -16,7 +16,8 @@ checking one against the other tests the digit-product identity itself.
 distribution wraps both behind a method switch.
 
 Binomials that are = 0 mod p belong to no class; their count is
-n + 1 - G_n(1) and is reported separately.
+n + 1 - G_n(1) and is reported separately.  to_json_dict alone decides what
+a census document holds, and from_json_dict accepts exactly what it writes.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ def to_json_dict(dist: Distribution) -> dict:
 
 
 def from_json_dict(doc: dict) -> Distribution:
-    """Rebuild a Distribution (and its ring) from the JSON form."""
+    """Rebuild a Distribution (and its ring) from exactly what to_json_dict writes."""
     p = int(doc["p"])
     s = int(doc["s"])
     modulus = parse_upoly(doc["field_modulus"], p) if doc["field_modulus"] else None
@@ -295,14 +296,17 @@ def from_json_dict(doc: dict) -> Distribution:
     prime = parse_poly(doc["prime"], f)
     ctx = ResidueCtx(prime, primitive_root=parse_poly(doc["primitive_root"], f))
     _check_ring(ctx)
-    if int(doc["group_order"]) != ctx.group_order:
-        raise ValueError("group_order does not match the ring")
-    terms = {}
-    for entry in doc["counts"]:
-        j = int(entry["exponent"])
-        if ctx.label(j) != entry["residue"]:
-            raise ValueError(f"residue label mismatch at exponent {j}")
-        terms[j] = int(entry["count"])
-    counts = CountPoly.from_terms(terms, ctx.group_order)
-    return Distribution(n=int(doc["n"]), method=doc["method"], counts=counts,
+    terms = {int(e["exponent"]): int(e["count"]) for e in doc["counts"]}
+    dist = Distribution(n=int(doc["n"]), method=doc["method"],
+                        counts=CountPoly.from_terms(terms, ctx.group_order),
                         zero_count=int(doc["zero_count"]), ctx=ctx)
+    rebuilt = to_json_dict(dist)
+    for key in [*rebuilt, *doc]:
+        if key not in doc or key not in rebuilt or doc[key] != rebuilt[key]:
+            raise ValueError(f"field {key!r} is not what to_json_dict writes for this census")
+    if (dist.method not in ("fast", "brute")
+            or min(dist.n, dist.zero_count, min(dist.counts.coeffs)) < 0
+            or dist.counts.eval_one() + dist.zero_count != dist.n + 1):
+        raise ValueError("a census needs method 'fast' or 'brute', and n, zero_count and "
+                         "counts >= 0 that add up to n + 1")
+    return dist

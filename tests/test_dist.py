@@ -426,12 +426,46 @@ def test_json_round_trip_extension(small_rings):
 def test_json_validation(ctx9, cache9):
     good = to_json_dict(distribution(3, ctx9, cache9))
     bad = dict(good, group_order="7")
-    with pytest.raises(ValueError, match="group_order does not match the ring"):
+    with pytest.raises(ValueError, match="^field 'group_order' is not what to_json_dict writes"):
         from_json_dict(bad)
     bad = dict(good)
     bad["counts"] = [dict(good["counts"][0], residue="T+2")]
-    with pytest.raises(ValueError, match="residue label mismatch at exponent 0"):
+    with pytest.raises(ValueError, match="^field 'counts' is not what to_json_dict writes"):
         from_json_dict(bad)
+
+
+# The worked example's document: n = 1811 mod T^2+1 over F_3, root T+1.
+E0, E4, E6 = ({"exponent": j, "residue": r, "count": c}
+              for j, r, c in [("0", "1", "72"), ("4", "2", "18"), ("6", "T", "90")])
+DOC_1811 = {"p": 3, "s": 1, "field_modulus": None, "prime": "T^2+1", "h": 2,
+            "primitive_root": "T+1", "group_order": "8", "n": "1811", "method": "fast",
+            "counts": [E0, E4, E6], "zero_count": "1632"}
+ADD_UP = (r"^a census needs method 'fast' or 'brute', and n, zero_count and counts >= 0 "
+          r"that add up to n \+ 1$")
+
+
+@pytest.mark.parametrize("change, message", [
+    pytest.param({"counts": [dict(E0, count="1"), E0, E4, E6]}, "field 'counts'",
+                 id="repeated-exponent"),
+    pytest.param({"counts": [dict(E0, exponent="8"), E4, E6]}, "field 'counts'", id="exponent-8"),
+    pytest.param({"counts": [E0, {"exponent": "2", "residue": "2*T", "count": "0"}, E4, E6]},
+                 "field 'counts'", id="count-0"),
+    # these two still add up to n + 1
+    pytest.param({"counts": [dict(E0, count="-72"), E4, E6], "zero_count": "1776"}, ADD_UP,
+                 id="count-minus-72"),
+    pytest.param({"counts": [dict(E0, count="1705"), E4, E6], "zero_count": "-1"}, ADD_UP,
+                 id="zero-count-minus-1"),
+    pytest.param({"zero_count": "7"}, ADD_UP, id="zero-count-7"),
+    pytest.param({"method": "bogus"}, ADD_UP, id="method-bogus"),
+    pytest.param({"h": 3}, "field 'h'", id="h-3"),
+    pytest.param({"counts": [E6, E4, E0]}, "field 'counts'", id="reversed-entries"),
+    pytest.param({"n": "-1", "counts": [], "zero_count": "0"}, ADD_UP, id="n-minus-1"),
+])
+def test_json_malformed_documents(ctx9, cache9, change, message):
+    assert to_json_dict(distribution(1811, ctx9, cache9)) == DOC_1811
+    assert from_json_dict(DOC_1811) == distribution(1811, ctx9, cache9)
+    with pytest.raises(ValueError, match=message):
+        from_json_dict(dict(DOC_1811, **change))
 
 
 def test_residue_labels_walk_the_root_powers(f2):

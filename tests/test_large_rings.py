@@ -7,12 +7,15 @@ T mod p is a root theta of p in F_{q^h}, with conjugates theta^(q^k), and
 the bracket logs sum to the log of (-1)^(h-1) p'(T) mod q^h - 1.
 """
 
+import math
+import random
 from functools import reduce
 from operator import mul
 
 import pytest
 
-from carlitz import DigitBinomCache, Field, Poly, ResidueCtx, find_irreducible, parse_poly
+from carlitz import (DigitBinomCache, Field, Poly, ResidueCtx, binom_exact, digits_of,
+                     distribution_brute, find_irreducible, parse_poly)
 
 F2, F3, F4, F5, F7, F9 = Field(2), Field(3), Field(2, 2), Field(5), Field(7), Field(3, 2)
 
@@ -62,3 +65,32 @@ def test_bracket_logs_and_their_sum(ring, kw):
     for lam, bracket in zip(logs, cache.brackets[1:]):
         assert ctx.primitive_root ** lam == bracket
     assert sum(logs) % ctx.group_order == ctx.dlog(_signed_derivative(ctx))
+
+
+# Checks (c) and (d) take n <= 2000: three n a ring, ten sampled m each for (d).
+LOG_RING_IDS = [_ring_id(r) + ("-bsgs" if kw else "") for r, kw in LOG_RINGS]
+
+
+@pytest.mark.parametrize("ring, kw", LOG_RINGS, ids=LOG_RING_IDS)
+def test_census_mass_is_the_digit_product(ring, kw):
+    """G_n(1) = prod (d_i + 1) over n's base-q^h digits: binom(n, m) is a unit
+    mod p exactly when each base-q^h digit of m is at most n's."""
+    ctx = _ctx(*ring, **kw)
+    cache = DigitBinomCache(ctx)
+    for n in random.Random(ctx.base).sample(range(2001), 3):
+        mass = distribution_brute(n, ctx, cache).counts.eval_one()
+        assert mass == math.prod(d + 1 for d in digits_of(n, ctx.base)), n
+
+
+@pytest.mark.parametrize("ring, kw", LOG_RINGS, ids=LOG_RING_IDS)
+def test_carry_logs_match_the_exact_binomial(ring, kw):
+    """binom_exact is the factorial quotient, not the carry rule, so its residue
+    checks binom_logs: zero exactly where the log is None, else root^log."""
+    ctx = _ctx(*ring, **kw)
+    cache = DigitBinomCache(ctx)
+    rng = random.Random(ctx.base)
+    for n in rng.sample(range(2001), 3):
+        logs = list(cache.binom_logs(n))
+        for m in rng.sample(range(n + 1), min(10, n + 1)):
+            r = ctx.reduce(binom_exact(n, m, ctx.field))
+            assert (None if r.is_zero() else ctx.dlog(r)) == logs[m], (n, m)

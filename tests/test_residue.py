@@ -33,6 +33,14 @@ def test_factorize_work_bound(monkeypatch):
         factorize(2**67 - 1)
 
 
+def test_pollard_rho_splits_every_odd_composite():
+    # 25 ends its first cycle with gcd 25 and so takes Brent's backtracking.
+    for n in range(9, 10**4, 2):
+        if not is_prime(n):
+            d, _ = intfactor._pollard_rho(n, 0)
+            assert 1 < d < n and n % d == 0, n
+
+
 def test_ctx_basics(ctx9):
     assert ctx9.q == 3
     assert ctx9.h == 2

@@ -59,6 +59,18 @@ def test_word_validation():
         Word((0,), 1)
 
 
+def test_word_is_an_immutable_value():
+    w = Word((3, 0, 1), 9)
+    with pytest.raises(AttributeError, match="cannot assign to field 'digits'"):
+        w.digits = (1,)
+    with pytest.raises(AttributeError, match="cannot delete field 'base'"):
+        del w.base
+    assert repr(w) == "Word(digits=(3, 0, 1), base=9)"
+    assert w.__eq__((3, 0, 1)) is NotImplemented and w != (3, 0, 1)
+    assert w != Word((3, 0, 1), 16)
+    assert {w, Word.from_int(84, 9, length=3)} == {w}
+
+
 def test_concat_law():
     # z(a * b) = z(a) + base^deg(a) * z(b), and concatenation is associative
     # but not commutative.
